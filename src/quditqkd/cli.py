@@ -119,12 +119,28 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     explicit = _explicit_flags(parser)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in _FLAG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if attr not in explicit and hasattr(args, attr):
-            setattr(args, attr, value)
+            setattr(args, attr, _convert_file_value(actions[attr], key, value))
+
+
+def _convert_file_value(action: argparse.Action, key: str, value):
+    """A config-file value checked as argparse checks the flag's text; null
+    is accepted only where the option defaults to unset."""
+    if value is None and action.default in (None, argparse.SUPPRESS):
+        return None
+    try:
+        out = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: invalid value {value!r}") from exc
+    if action.choices is not None and out not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return out
 
 
 def _explicit_flags(parser: argparse.ArgumentParser) -> set[str]:
@@ -319,6 +335,9 @@ def _make_channel(args, gf) -> ChannelModel:
 
 
 def _cmd_simulate(args, seed):
+    for name in ("trials", "workers"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {getattr(args, name)}")
     if seed is None:
         raise ConfigError(f"simulate requires a seed (--seed, config file, or ${SEED_ENV})")
     gf = make_field(args.p, _degree(args))

@@ -177,6 +177,8 @@ class GF:
         self._xpow = [self._poly_to_int(_pmod([0] * k + [1], list(self.modulus), p)) for k in range(n, 2 * n - 1)]
         self._add_table: Optional[np.ndarray] = None
         self._mul_table: Optional[np.ndarray] = None
+        self._sub_table: Optional[np.ndarray] = None
+        self._trace_table: Optional[np.ndarray] = None
 
     # -- encoding -------------------------------------------------------
 
@@ -323,11 +325,8 @@ class GF:
         if self._add_table is None:
             if self.N > _TABLE_MAX:
                 raise ValueError(f"add_table not materialized for N={self.N} > {_TABLE_MAX}")
-            t = np.empty((self.N, self.N), dtype=np.uint16)
-            for a in range(self.N):
-                for b in range(self.N):
-                    t[a, b] = self.add(a, b)
-            self._add_table = t
+            digits = self.coeff_table
+            self._add_table = (((digits[:, None] + digits[None, :]) % self.p) @ self.basis).astype(np.uint16)
         return self._add_table
 
     @property
@@ -344,12 +343,22 @@ class GF:
 
     @property
     def sub_table(self) -> np.ndarray:
-        neg = np.array([self.neg(a) for a in range(self.N)], dtype=np.uint16)
-        return self.add_table[:, neg]
+        if self._sub_table is None:
+            self._sub_table = self.add_table[:, [self.neg(a) for a in range(self.N)]]
+        return self._sub_table
 
     @property
-    def neg_table(self) -> np.ndarray:
-        return np.array([self.neg(a) for a in range(self.N)], dtype=np.uint16)
+    def coeff_table(self) -> np.ndarray:
+        """(N, n) base-p digits of every element, constant coefficient first."""
+        return (np.arange(self.N)[:, None] // np.array(self.basis)) % self.p
+
+    @property
+    def trace_table(self) -> np.ndarray:
+        """Tr(a) for every element a, from the linearity of the trace."""
+        if self._trace_table is None:
+            basis_tr = np.array([self.trace(g) for g in self.basis])
+            self._trace_table = (self.coeff_table @ basis_tr) % self.p
+        return self._trace_table
 
     # -- misc -------------------------------------------------------------
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import InvariantViolation
 from .fields import GF, make_quadratic_extension
-from .pauli import PauliLabel, add_phases, normalize_phase, pauli_matrix, phase_value
+from .pauli import phase_value
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class TOperator:
     params: SymplecticParams
     matrix: np.ndarray
     coeffs: np.ndarray  # Lambda_ab, indexed [a, b]
-    f_table: dict[tuple[int, int], tuple[int, int]]
+    f_table: tuple[np.ndarray, np.ndarray]  # (num, den) of f, indexed [a, b]
     route: str
 
 
@@ -189,8 +189,42 @@ def conjugation_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np
 # The phase function f and the explicit coefficients of T
 # ----------------------------------------------------------------------
 
-def _int_trace(gf: GF, a: int) -> int:
-    return gf.trace(a)
+def _pair_correction(gf: GF, x: np.ndarray, coef: int) -> np.ndarray:
+    """p = 2: sum over i > j of x_i x_j g_i g_j coef, elementwise over x."""
+    add, mul = gf.add_table, gf.mul_table
+    digits = gf.coeff_table[x]
+    out = np.zeros(x.shape, dtype=np.intp)
+    for i in range(gf.n):
+        for j in range(i):
+            term = mul[mul[gf.basis[i], gf.basis[j]], coef]
+            out = add[out, np.where(digits[..., i] & digits[..., j], term, 0)]
+    return out
+
+
+def _f_table(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den) of phase_exponent_f for every label, as (N, N) arrays
+    indexed [a, b]."""
+    al, be, ga = params.alpha, params.beta, params.gamma
+    add, mul, tr = gf.add_table, gf.mul_table, gf.trace_table
+    p = gf.p
+    A, B = np.ogrid[:gf.N, :gf.N]
+    aa, bb = mul[A, A], mul[B, B]
+    cross = mul[mul[A, B], mul[be, be]]
+    if p != 2:
+        half_arg = mul[be, add[mul[aa, al], mul[bb, ga]]]
+        inv2 = pow(2, p - 2, p)
+        num = (inv2 * tr[half_arg] + tr[cross]) % p
+        return num, np.ones_like(num)
+    # p = 2: per-coefficient half-integral terms plus the i > j correction
+    digits = gf.coeff_table
+    gj2 = [mul[g, g] for g in gf.basis]
+    s_a = digits @ tr[mul[mul[al, be], gj2]]
+    s_b = digits @ tr[mul[mul[be, ga], gj2]]
+    s = s_a[:, None] + s_b[None, :]
+    corr = add[_pair_correction(gf, A, al), _pair_correction(gf, B, ga)]
+    num = s + 2 * tr[add[cross, mul[be, corr]]]
+    even = num % 2 == 0
+    return np.where(even, (num // 2) % 2, num % 4), np.where(even, 1, 2)
 
 
 def phase_exponent_f(gf: GF, params: SymplecticParams, a: int, b: int) -> tuple[int, int]:
@@ -201,143 +235,108 @@ def phase_exponent_f(gf: GF, params: SymplecticParams, a: int, b: int) -> tuple[
     integral.  For p = 2 the half-integral diagonal terms are evaluated
     per basis coefficient with omega_2^(1/2) = +i.
     """
-    al, be, ga = params.alpha, params.beta, params.gamma
-    p = gf.p
-    aa, bb = gf.mul(a, a), gf.mul(b, b)
-    half_arg = gf.mul(be, gf.add(gf.mul(aa, al), gf.mul(bb, ga)))
-    cross = gf.mul(gf.mul(a, b), gf.mul(be, be))
-    if p != 2:
-        inv2 = pow(2, p - 2, p)
-        f = (inv2 * _int_trace(gf, half_arg) + _int_trace(gf, cross)) % p
-        return normalize_phase(p, f, 1)
-    # p = 2: per-coefficient half-integral terms plus the i > j correction
-    ac, bc = gf.to_coeffs(a), gf.to_coeffs(b)
-    ab_, bg = gf.mul(al, be), gf.mul(be, ga)
-    s = 0
-    for j in range(gf.n):
-        gj2 = gf.mul(gf.basis[j], gf.basis[j])
-        if ac[j]:
-            s += _int_trace(gf, gf.mul(ab_, gj2))
-        if bc[j]:
-            s += _int_trace(gf, gf.mul(bg, gj2))
-    corr = 0
-    for i in range(gf.n):
-        for j in range(i):
-            gij = gf.mul(gf.basis[i], gf.basis[j])
-            term = gf.add(
-                gf.scalar_mul(ac[i] * ac[j], gf.mul(gij, al)),
-                gf.scalar_mul(bc[i] * bc[j], gf.mul(gij, ga)),
-            )
-            corr = gf.add(corr, term)
-    t = _int_trace(gf, gf.add(cross, gf.mul(be, corr)))
-    return normalize_phase(2, s + 2 * t, 2)
+    gf._check(a, b)
+    num, den = _f_table(gf, params)
+    return int(num[a, b]), int(den[a, b])
 
 
-def _phi_tables(gf: GF, params: SymplecticParams):
-    """phi_1 and phi_2 of the explicit coefficient formula, per label."""
+def _phase_values(p: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """phase_value(p, num, den) elementwise, looked up from the scalar values."""
+    table = np.array([[phase_value(p, k, d) for k in range(2 * p)] for d in (1, 2)])
+    return table[den - 1, num]
+
+
+def _phi_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
+    """phi_1 and phi_2 of the explicit coefficient formula, indexed [a, b]."""
     al, be, ga = params.alpha, params.beta, params.gamma
+    add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
     two = gf.scalar_mul(2, 1)
     t2 = gf.sub(two, gf.add(al, ga))  # 2 - alpha - gamma, nonzero
     dinv = gf.inv(gf.mul(t2, t2))
-    one = 1
-    g1 = gf.sub(ga, one)
-    a1 = gf.sub(al, one)
+    g1 = gf.sub(ga, 1)
+    a1 = gf.sub(al, 1)
     be2 = gf.mul(be, be)
     # coefficients of a^2, ab, b^2 inside phi_1
     c_a2 = gf.mul(gf.mul(be, be2), g1)
-    c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), one)))))
+    c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
     c_b2 = gf.mul(be, gf.add(gf.mul(gf.mul(al, ga), a1), g1))
     # coefficients inside phi_2
     d_sym = gf.sub(gf.add(al, ga), gf.scalar_mul(2, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
-    phi1 = {}
-    phi2 = {}
-    for a in gf.elements():
-        for b in gf.elements():
-            aa, bb, ab = gf.mul(a, a), gf.mul(b, b), gf.mul(a, b)
-            v1 = gf.mul(dinv, gf.add(gf.add(gf.mul(c_a2, aa), gf.mul(c_ab, ab)), gf.mul(c_b2, bb)))
-            if gf.p == 2:
-                ta = gf.div(gf.sub(gf.mul(g1, a), gf.mul(be, b)), t2)
-                tb = gf.div(gf.sub(gf.mul(a1, b), gf.mul(be, a)), t2)
-                tac, tbc = gf.to_coeffs(ta), gf.to_coeffs(tb)
-                corr = 0
-                for i in range(gf.n):
-                    for j in range(i):
-                        gij = gf.mul(gf.basis[i], gf.basis[j])
-                        term = gf.add(
-                            gf.scalar_mul(tac[i] * tac[j], gf.mul(gij, al)),
-                            gf.scalar_mul(tbc[i] * tbc[j], gf.mul(gij, ga)),
-                        )
-                        corr = gf.add(corr, term)
-                v1 = gf.add(v1, gf.mul(be, corr))
-            sym = gf.add(gf.add(aa, gf.scalar_mul(2, gf.mul(be, ab))), bb)
-            mix = gf.scalar_mul(2, gf.mul(be2, gf.add(gf.mul(ga, aa), gf.mul(al, bb))))
-            v2 = gf.mul(gf.mul(be, dinv), gf.add(gf.mul(d_sym, sym), mix))
-            phi1[(a, b)] = v1
-            phi2[(a, b)] = v2
+    A, B = np.ogrid[:gf.N, :gf.N]
+    aa, bb, ab = mul[A, A], mul[B, B], mul[A, B]
+    phi1 = mul[dinv, add[add[mul[c_a2, aa], mul[c_ab, ab]], mul[c_b2, bb]]]
+    if gf.p == 2:
+        t2inv = gf.inv(t2)
+        ta = mul[sub[mul[g1, A], mul[be, B]], t2inv]
+        tb = mul[sub[mul[a1, B], mul[be, A]], t2inv]
+        corr = add[_pair_correction(gf, ta, al), _pair_correction(gf, tb, ga)]
+        phi1 = add[phi1, mul[be, corr]]
+    sym = add[add[aa, mul[two, mul[be, ab]]], bb]
+    mix = mul[two, mul[be2, add[mul[ga, aa], mul[al, bb]]]]
+    phi2 = mul[gf.mul(be, dinv), add[mul[d_sym, sym], mix]]
     return phi1, phi2
 
 
 def _coeffs_direct(gf: GF, params: SymplecticParams, branch_per_coeff: bool) -> np.ndarray:
     """Lambda_ab from the explicit formula; theta = 0 (Lambda_00 real positive)."""
     N, p = gf.N, gf.p
+    tr = gf.trace_table
     phi1, phi2 = _phi_tables(gf, params)
-    lam = np.empty((N, N), dtype=np.complex128)
     if p != 2:
         inv2 = pow(2, p - 2, p)
         omega = np.exp(2j * np.pi / p)
-        for (a, b), v1 in phi1.items():
-            e = (_int_trace(gf, v1) - inv2 * _int_trace(gf, phi2[(a, b)])) % p
-            lam[a, b] = omega**e / N
-        return lam
+        values = np.array([omega**e / N for e in range(p)])
+        return values[(tr[phi1] - inv2 * tr[phi2]) % p]
     # p = 2: phi_2 = (beta/c) * (a+b)^2; the half of its trace is taken
     # per basis coefficient of w = a+b (branch omega_2^(1/2) = +i), or
     # globally on Tr(phi_2) when branch_per_coeff is False.
-    u = gf.div(params.beta, gf.add(params.alpha, params.gamma))
-    ug2 = [_int_trace(gf, gf.mul(u, gf.mul(g, g))) for g in gf.basis]
-    for (a, b), v1 in phi1.items():
-        t1 = _int_trace(gf, v1)
-        if branch_per_coeff:
-            w = gf.add(a, b)
-            s2 = sum(t for t, wj in zip(ug2, gf.to_coeffs(w)) if wj)
-        else:
-            s2 = _int_trace(gf, phi2[(a, b)])
-        lam[a, b] = 1j ** ((2 * t1 - s2) % 4) / N
-    return lam
+    if branch_per_coeff:
+        u = gf.div(params.beta, gf.add(params.alpha, params.gamma))
+        ug2 = np.array([gf.trace(gf.mul(u, gf.mul(g, g))) for g in gf.basis])
+        s2 = gf.coeff_table[gf.add_table] @ ug2  # indexed [a, b] through w = a+b
+    else:
+        s2 = tr[phi2]
+    values = np.array([1j**k / N for k in range(4)])
+    return values[(2 * tr[phi1] - s2) % 4]
 
 
-def _coeffs_closure(gf: GF, params: SymplecticParams, f_table) -> np.ndarray:
+def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Lambda_ab propagated from Lambda_00 = 1/N through the defining
     relation, hopping each (i, j) to (0, 0) via (M - I)^(-1)."""
     N, p = gf.N, gf.p
+    add, mul, sub, tr = gf.add_table, gf.mul_table, gf.sub_table, gf.trace_table
     al, be, ga = params.alpha, params.beta, params.gamma
     det = gf.sub(gf.scalar_mul(2, 1), gf.add(al, ga))  # det(M - I) = 2-alpha-gamma
     dinv = gf.inv(det)
     i00, i01 = gf.mul(dinv, gf.sub(ga, 1)), gf.neg(gf.mul(dinv, be))
     i11 = gf.mul(dinv, gf.sub(al, 1))
     g1 = gf.sub(ga, 1)
-    lam = np.empty((N, N), dtype=np.complex128)
+    I, J = np.ogrid[:N, :N]
+    a = add[mul[i00, I], mul[i01, J]]
+    b = add[mul[i01, I], mul[i11, J]]
+    ap = add[mul[a, al], mul[b, be]]
+    inner = sub[sub[J, mul[a, be]], mul[b, g1]]
+    extra = (tr[mul[ap, inner]] - tr[mul[b, I]]) % p
+    # f(a, b) + extra, reduced as normalize_phase reduces it, elementwise
+    num, den = f_table[0][a, b], f_table[1][a, b]
+    num = num + extra * den
+    halve = (den == 2) & (num % 2 == 0)
+    num, den = np.where(halve, num // 2, num), np.where(halve, 1, den)
+    lam = _phase_values(p, num % (p * den), den) / N
     lam[0, 0] = 1.0 / N
-    for i in gf.elements():
-        for j in gf.elements():
-            if i == 0 and j == 0:
-                continue
-            a = gf.add(gf.mul(i00, i), gf.mul(i01, j))
-            b = gf.add(gf.mul(i01, i), gf.mul(i11, j))
-            ap = gf.add(gf.mul(a, al), gf.mul(b, be))
-            inner = gf.sub(gf.sub(j, gf.mul(a, be)), gf.mul(b, g1))
-            extra = (_int_trace(gf, gf.mul(ap, inner)) - _int_trace(gf, gf.mul(b, i))) % p
-            num, den = add_phases(p, f_table[(a, b)], (extra, 1))
-            lam[i, j] = phase_value(p, num, den) / N
     return lam
+
+
+def _char_table(gf: GF) -> np.ndarray:
+    """chi[b, v] = omega_p^Tr(b v), looked up from the scalar omega ** k."""
+    omega = np.exp(2j * np.pi / gf.p)
+    powers = np.array([omega**k for k in range(gf.p)])
+    return powers[gf.trace_table[gf.mul_table]]
 
 
 def _assemble(gf: GF, lam: np.ndarray) -> np.ndarray:
     N = gf.N
-    omega = np.exp(2j * np.pi / gf.p)
-    zchar = np.empty((N, N), dtype=np.complex128)
-    for b in gf.elements():
-        for j in gf.elements():
-            zchar[b, j] = omega ** gf.trace(gf.mul(b, j))
+    zchar = _char_table(gf)
     T = np.zeros((N, N), dtype=np.complex128)
     addt = gf.add_table
     cols = np.arange(N)
@@ -348,30 +347,24 @@ def _assemble(gf: GF, lam: np.ndarray) -> np.ndarray:
     return T
 
 
-def left_pauli_apply(gf: GF, a: int, b: int, T: np.ndarray) -> np.ndarray:
-    """(X_a Z_b) @ T without materializing the Pauli matrix."""
-    omega = np.exp(2j * np.pi / gf.p)
-    src = np.array([gf.sub(u, a) for u in gf.elements()])
-    ph = np.array([omega ** gf.trace(gf.mul(b, w)) for w in src])
-    return ph[:, None] * T[src, :]
-
-
-def right_pauli_apply(gf: GF, T: np.ndarray, a: int, b: int) -> np.ndarray:
-    """T @ (X_a Z_b); column v of the product is omega^Tr(b v) T[:, a+v]."""
-    omega = np.exp(2j * np.pi / gf.p)
-    cols = np.array([gf.add(a, v) for v in gf.elements()])
-    ph = np.array([omega ** gf.trace(gf.mul(b, v)) for v in gf.elements()])
-    return T[:, cols] * ph[None, :]
-
-
 def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_table) -> float:
+    """max over all N^2 labels of |X_a Z_b T - omega^f(a,b) T X_a' Z_b'|, one
+    row of labels (fixed a, all b) at a time.  Row u of X_a Z_b T is
+    chi[b, u-a] T[u-a, :]; column v of T X_a' Z_b' is chi[b', v] T[:, a'+v]."""
+    add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
+    al, be, ga = params.alpha, params.beta, params.gamma
+    chi = _char_table(gf)
+    ph = _phase_values(gf.p, *f_table)
+    A, B = np.ogrid[:gf.N, :gf.N]
+    a_img = add[mul[al, A], mul[be, B]]
+    b_img = add[mul[be, A], mul[ga, B]]
     worst = 0.0
     for a in gf.elements():
-        for b in gf.elements():
-            ap, bp = conjugate_label(gf, params, (a, b), 1)
-            ph = phase_value(gf.p, *f_table[(a, b)])
-            resid = np.abs(left_pauli_apply(gf, a, b, T) - ph * right_pauli_apply(gf, T, ap, bp)).max()
-            worst = max(worst, float(resid))
+        src = sub[:, a]
+        left = chi[:, src][:, :, None] * T[src, :][None, :, :]
+        right = T[:, add[a_img[a]]].transpose(1, 0, 2) * chi[b_img[a]][:, None, :]
+        resid = np.abs(left - ph[a][:, None, None] * right).max()
+        worst = max(worst, float(resid))
     return worst
 
 
@@ -393,11 +386,9 @@ def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
     relation-propagation construction second; every candidate must pass
     unitarity, the conjugation relation, and the order check before it
     is accepted."""
-    if gf.N > 16:
-        raise ValueError("T construction is supported for N <= 16")
-    f_table = {
-        (a, b): phase_exponent_f(gf, params, a, b) for a in gf.elements() for b in gf.elements()
-    }
+    if gf.N > 32:
+        raise ValueError("T construction is supported for N <= 32")
+    f_table = _f_table(gf, params)
     routes = []
     if gf.p == 2:
         routes.append(("explicit", lambda: _coeffs_direct(gf, params, branch_per_coeff=True)))

@@ -170,6 +170,29 @@ def test_config_file_unknown_key(tmp_path):
     assert "unknown config key" in res.stderr
 
 
+@pytest.mark.parametrize("values", [{"delta": "x"}, {"test_count": 1.5}, {"format": "xml"}])
+def test_config_file_values_are_type_checked(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    res = run_cli(
+        ["simulate", "--p", "2", "--n", "2", "--L", "100000", "--channel", "noiseless",
+         "--seed", "1", "--config", str(cfg)]
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("config error:")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "2", "--workers", "0"]])
+def test_simulate_rejects_nonpositive_trials_and_workers(flags):
+    res = run_cli(
+        ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
+         "--seed", "1"] + flags
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("config error:")
+
+
 def test_print_effective_config():
     res = run_cli(
         ["--print-effective-config", "--seed", "9", "simulate", "--p", "2", "--n", "2",

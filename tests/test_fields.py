@@ -147,6 +147,17 @@ def test_trace_linearity_exhaustive(p, n):
         assert (tr[scaled] == (lam * tr) % p).all()
 
 
+@pytest.mark.parametrize("p,n", AXIOM_FIELDS)
+def test_lookup_tables_match_scalar_arithmetic(p, n):
+    gf = make_field(p, n)
+    els = list(gf.elements())
+    assert gf.trace_table.tolist() == [gf.trace(a) for a in els]
+    assert gf.coeff_table.tolist() == [list(gf.to_coeffs(a)) for a in els]
+    assert gf.add_table.tolist() == [[gf.add(a, b) for b in els] for a in els]
+    assert gf.sub_table is gf.sub_table  # cached, not rebuilt per access
+    assert gf.sub_table.tolist() == [[gf.sub(a, b) for b in els] for a in els]
+
+
 def test_trace_frobenius_invariant():
     for p, n in SMALL_FIELDS:
         gf = make_field(p, n)

@@ -3,11 +3,20 @@ import pytest
 
 from conftest import PRIME_POWERS, cached_params, cached_partition, cached_top
 from quditqkd.fields import make_field
-from quditqkd.pauli import PauliLabel, pauli_matrix
+from quditqkd.pauli import PauliLabel, pauli_matrix, phase_value
 from quditqkd.toperator import (
+    SymplecticParams,
+    _assemble,
+    _coeffs_closure,
+    _coeffs_direct,
+    _conjugation_residual,
+    _f_table,
+    _scalar_order,
+    build_T,
     choose_M,
     conjugate_label,
     find_char_poly,
+    make_t_operator,
     phase_exponent_f,
     verify_T,
 )
@@ -133,6 +142,20 @@ def test_verification_suite(p, n):
     assert rep.all_ok
 
 
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5)])
+def test_verification_suite_beyond_sixteen(p, n):
+    rep = verify_T(make_t_operator(make_field(p, n)))
+    assert rep.all_ok
+    for residual in (rep.unitarity_residual, rep.conjugation_residual,
+                     rep.mub_max_deviation, rep.lambda_flatness):
+        assert residual < TOL
+
+
+def test_build_rejects_fields_above_cap():
+    with pytest.raises(ValueError, match="N <= 32"):
+        build_T(make_field(37, 1), SymplecticParams(0, 0, 0, 0))
+
+
 @pytest.mark.parametrize("p,n", PRIME_POWERS)
 def test_coefficient_magnitudes_flat(p, n):
     top = cached_top(p, n)
@@ -211,3 +234,79 @@ def test_equiv_class_structure(p, n):
     else:
         # (N-1)/2 classes hold exactly two labels of the form (0, b), the rest none
         assert sorted(zero_a_counts) == [0] * ((N - 1) // 2) + [2] * ((N - 1) // 2)
+
+
+# ---------------------------------------------------------------
+# the checks reject wrong candidates
+# ---------------------------------------------------------------
+
+def unitarity_residual(T):
+    return float(np.abs(T.conj().T @ T - np.eye(T.shape[0])).max())
+
+
+def scalar_conjugation_residual(gf, params, T, f_table):
+    """The conjugation check label by label with scalar field calls:
+    max |X_a Z_b T - omega^f(a,b) T X_a' Z_b'| over all N^2 labels."""
+    omega = np.exp(2j * np.pi / gf.p)
+    num, den = f_table
+    worst = 0.0
+    for a in gf.elements():
+        for b in gf.elements():
+            ap, bp = conjugate_label(gf, params, (a, b), 1)
+            ph = phase_value(gf.p, int(num[a, b]), int(den[a, b]))
+            src = [gf.sub(u, a) for u in gf.elements()]
+            left = np.array([omega ** gf.trace(gf.mul(b, w)) for w in src])[:, None] * T[src, :]
+            cols = [gf.add(ap, v) for v in gf.elements()]
+            zb = np.array([omega ** gf.trace(gf.mul(bp, v)) for v in gf.elements()])
+            right = T[:, cols] * zb[None, :]
+            worst = max(worst, float(np.abs(left - ph * right).max()))
+    return worst
+
+
+@pytest.mark.parametrize("p,n", PRIME_POWERS)
+def test_conjugation_residual_matches_scalar_reference(p, n):
+    top = cached_top(p, n)
+    gf = top.gf
+    # the built T, and one whose columns carry spurious phases so that
+    # the relation fails by a different amount on different labels
+    phases = np.exp(1j * np.arange(gf.N))
+    for T in (top.matrix, top.matrix * phases[None, :]):
+        new = _conjugation_residual(gf, top.params, T, top.f_table)
+        assert new == scalar_conjugation_residual(gf, top.params, T, top.f_table)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+def test_conjugation_residual_covers_every_label(p, n):
+    top = cached_top(p, n)
+    num, den = top.f_table
+    for a in top.gf.elements():
+        for b in top.gf.elements():
+            wrong = num.copy()
+            wrong[a, b] = (wrong[a, b] + 1) % (p * den[a, b])
+            assert _conjugation_residual(top.gf, top.params, top.matrix, (wrong, den)) > 0.5
+
+
+def test_global_branch_candidate_fails_conjugation_at_n8():
+    gf, params = cached_params(2, 3)
+    T = _assemble(gf, _coeffs_direct(gf, params, branch_per_coeff=False))
+    assert unitarity_residual(T) < 1e-16
+    residual = _conjugation_residual(gf, params, T, _f_table(gf, params))
+    assert residual == pytest.approx(0.7071067811865476, abs=1e-12)
+
+
+def test_per_coefficient_candidate_fails_unitarity_at_n4():
+    gf, params = cached_params(2, 2)
+    T = _assemble(gf, _coeffs_direct(gf, params, branch_per_coeff=True))
+    assert unitarity_residual(T) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p,n", PRIME_POWERS)
+def test_closure_candidate_passes_every_check(p, n):
+    top = cached_top(p, n)
+    gf = top.gf
+    lam = _coeffs_closure(gf, top.params, top.f_table)
+    T = _assemble(gf, lam)
+    assert unitarity_residual(T) < TOL
+    assert _conjugation_residual(gf, top.params, T, top.f_table) < TOL
+    assert _scalar_order(T, TOL) == gf.N + 1
+    assert np.abs(np.abs(lam) - 1.0 / gf.N).max() < TOL
