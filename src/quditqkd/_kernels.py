@@ -1,27 +1,12 @@
-"""Hot inner kernels of the Monte-Carlo simulator.
-
-Each kernel has a numba @njit implementation and a pure-NumPy fallback
-with identical semantics.  Setting the environment variable
-``QUDIT_QKD_NO_NUMBA=1`` (or any non-empty value other than "0") before
-import forces the NumPy path; ``USING_NUMBA`` records which one is live.
-``benchmarks/bench_kernels.py`` compares the two.
-"""
+"""Hot inner kernels of the Monte-Carlo simulator, in NumPy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_disabled = os.environ.get("QUDIT_QKD_NO_NUMBA", "0") not in ("", "0")
-try:
-    if _disabled:
-        raise ImportError("numba disabled by QUDIT_QKD_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
+# Always False: the kernels have one NumPy implementation.  Kept because
+# benchmark provenance records the kernel path from this name.
+USING_NUMBA = False
 
 
 # -- LOCC2 purification round ------------------------------------------
@@ -31,7 +16,7 @@ except ImportError:
 # two spin labels agree; the surviving control keeps its value and spin
 # label and accumulates the target's phase label.
 
-def _ep_round_np(a, b, s, bob, perm, add_t):
+def ep_round(a, b, s, bob, perm, add_t):
     m = perm.size // 2
     c = perm[0 : 2 * m : 2]
     t = perm[1 : 2 * m : 2]
@@ -40,72 +25,17 @@ def _ep_round_np(a, b, s, bob, perm, add_t):
     return a[c], add_t[b[c], b[t]], s[c], bob[c]
 
 
-def _group_sums_np(v, ell, r, add_t):
+def group_sums(v, ell, r, add_t):
     acc = v[:, 0].copy()
     for j in range(1, r):
         acc = add_t[acc, v[:, j]]
     return acc
 
 
-def _plurality_np(v, ell, r, N):
+def plurality(v, ell, r, N):
     counts = np.zeros((ell, N), dtype=np.int64)
     np.add.at(counts, (np.repeat(np.arange(ell), r), v.ravel()), 1)
     # prefer higher count, then symbol 0, then the smaller symbol
     pref = np.arange(N, 0, -1, dtype=np.int64)
     pref[0] = N + 1
     return np.argmax(counts * (N + 2) + pref[None, :], axis=1).astype(v.dtype)
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _ep_round_nb(a, b, s, bob, perm, add_t):  # pragma: no cover - jitted
-        m = perm.size // 2
-        out_a = np.empty(m, dtype=a.dtype)
-        out_b = np.empty(m, dtype=b.dtype)
-        out_s = np.empty(m, dtype=s.dtype)
-        out_bob = np.empty(m, dtype=bob.dtype)
-        k = 0
-        for i in range(m):
-            c = perm[2 * i]
-            t = perm[2 * i + 1]
-            if a[c] == a[t]:
-                out_a[k] = a[c]
-                out_b[k] = add_t[b[c], b[t]]
-                out_s[k] = s[c]
-                out_bob[k] = bob[c]
-                k += 1
-        return out_a[:k].copy(), out_b[:k].copy(), out_s[:k].copy(), out_bob[:k].copy()
-
-    @njit(cache=True)
-    def _group_sums_nb(v, ell, r, add_t):  # pragma: no cover - jitted
-        out = np.empty(ell, dtype=v.dtype)
-        for g in range(ell):
-            acc = v[g, 0]
-            for j in range(1, r):
-                acc = add_t[acc, v[g, j]]
-            out[g] = acc
-        return out
-
-    @njit(cache=True)
-    def _plurality_nb(v, ell, r, N):  # pragma: no cover - jitted
-        out = np.empty(ell, dtype=v.dtype)
-        counts = np.zeros(N, dtype=np.int64)
-        for g in range(ell):
-            counts[:] = 0
-            for j in range(r):
-                counts[v[g, j]] += 1
-            best, best_count = 0, counts[0]
-            for sym in range(1, N):
-                if counts[sym] > best_count:
-                    best, best_count = sym, counts[sym]
-            out[g] = best
-        return out
-
-    ep_round = _ep_round_nb
-    group_sums = _group_sums_nb
-    plurality = _plurality_nb
-else:
-    ep_round = _ep_round_np
-    group_sums = _group_sums_np
-    plurality = _plurality_np

@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--test-count", type=int)
     sim.add_argument("--test-fraction", type=float)
     sim.add_argument("--delta", type=float, default=0.01)
-    sim.add_argument("--epsilon", type=float, default=0.01)
     sim.add_argument("--epsilon-i", type=float, default=0.01)
     sim.add_argument("--abort-threshold", type=float)
     sim.add_argument("--ep-rounds-max", type=int, default=4)
@@ -100,13 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _FLAG_KEYS = {
     "output", "format", "seed", "p", "n", "L", "channel", "qer", "q", "q_prime",
-    "test_count", "test_fraction", "delta", "epsilon", "epsilon_i", "abort_threshold",
+    "test_count", "test_fraction", "delta", "epsilon_i", "abort_threshold",
     "ep_rounds_max", "ep_rounds", "pec_r", "trials", "workers",
 }
 
 
-def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """File values fill in only options the command line left at default."""
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                       argv: list[str]) -> None:
+    """File values fill in only options that argv left at default."""
     if not args.config:
         return
     try:
@@ -118,9 +122,8 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigError(f"malformed config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    explicit = _explicit_flags(parser)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    explicit = _explicit_flags(argv)
+    actions = {a.dest: a for a in _subparsers(parser).choices[args.command]._actions}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in _FLAG_KEYS:
@@ -143,14 +146,15 @@ def _convert_file_value(action: argparse.Action, key: str, value):
     return out
 
 
-def _explicit_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """Option dests that actually appeared on the command line."""
-    present = set()
-    argv = sys.argv[1:]
-    for tok in argv:
-        if tok.startswith("--"):
-            present.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return present
+def _explicit_flags(argv: list[str]) -> set[str]:
+    """Option dests that appear in argv.  argv is parsed again with every
+    default suppressed, so argparse's own matching (abbreviations,
+    --flag=value) decides which options were given."""
+    probe = _build_parser()
+    for p in (probe, *_subparsers(probe).choices.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(probe.parse_args(argv)))
 
 
 def _resolve_seed(args: argparse.Namespace) -> Optional[int]:
@@ -238,7 +242,6 @@ def _cmd_build_t(args, seed):
     report["result"] = {
         "c": c,
         "M": [[params.alpha, params.beta], [params.beta, params.gamma]],
-        "route": top.route,
         "coefficients_re": np.round(top.coeffs.real, 15).tolist(),
         "coefficients_im": np.round(top.coeffs.imag, 15).tolist(),
         "matrix_re": np.round(top.matrix.real, 15).tolist(),
@@ -261,7 +264,6 @@ def _cmd_verify(args, seed):
         "mub_max_deviation": rep.mub_max_deviation,
         "mub_ok": rep.mub_ok,
         "lambda_flatness": rep.lambda_flatness,
-        "route": rep.route,
         "all_ok": rep.all_ok,
         "notes": rep.notes,
     }
@@ -350,7 +352,6 @@ def _cmd_simulate(args, seed):
         test_count=args.test_count,
         test_fraction=args.test_fraction,
         delta=args.delta,
-        epsilon=args.epsilon,
         epsilon_i=args.epsilon_i,
         abort_threshold=args.abort_threshold,
         ep_rounds_max=args.ep_rounds_max,
@@ -368,7 +369,6 @@ def _cmd_simulate(args, seed):
         "test_count": args.test_count,
         "test_fraction": args.test_fraction,
         "delta": args.delta,
-        "epsilon": args.epsilon,
         "epsilon_i": args.epsilon_i,
         "abort_threshold": args.abort_threshold,
         "ep_rounds_max": args.ep_rounds_max,
@@ -431,10 +431,9 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    if argv is not None:
-        sys.argv = [sys.argv[0]] + list(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(sys.argv[1:])
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     for key, default in (
@@ -444,7 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, default)
     try:
-        _merge_config_file(args, parser)
+        _merge_config_file(args, parser, argv)
         seed = _resolve_seed(args)
         if args.print_effective_config:
             eff = {k: v for k, v in sorted(vars(args).items()) if k != "print_effective_config"}

@@ -135,7 +135,6 @@ class ProtocolConfig:
     test_count: Optional[int] = None     # per set; exclusive with test_fraction
     test_fraction: Optional[float] = None
     delta: float = 0.01
-    epsilon: float = 0.01
     epsilon_i: float = 0.01
     abort_threshold: Optional[float] = None  # default e_qer(N) - delta for p = 2
     ep_rounds_max: int = 4

@@ -44,7 +44,6 @@ class VerificationReport:
     mub_max_deviation: float
     mub_ok: bool
     lambda_flatness: float
-    route: str
     all_ok: bool
     notes: list[str] = field(default_factory=list)
 
@@ -56,7 +55,6 @@ class TOperator:
     matrix: np.ndarray
     coeffs: np.ndarray  # Lambda_ab, indexed [a, b]
     f_table: tuple[np.ndarray, np.ndarray]  # (num, den) of f, indexed [a, b]
-    route: str
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +184,7 @@ def conjugation_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np
 
 
 # ----------------------------------------------------------------------
-# The phase function f and the explicit coefficients of T
+# The phase function f and the coefficients of T
 # ----------------------------------------------------------------------
 
 def _pair_correction(gf: GF, x: np.ndarray, coef: int) -> np.ndarray:
@@ -246,60 +244,6 @@ def _phase_values(p: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return table[den - 1, num]
 
 
-def _phi_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
-    """phi_1 and phi_2 of the explicit coefficient formula, indexed [a, b]."""
-    al, be, ga = params.alpha, params.beta, params.gamma
-    add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
-    two = gf.scalar_mul(2, 1)
-    t2 = gf.sub(two, gf.add(al, ga))  # 2 - alpha - gamma, nonzero
-    dinv = gf.inv(gf.mul(t2, t2))
-    g1 = gf.sub(ga, 1)
-    a1 = gf.sub(al, 1)
-    be2 = gf.mul(be, be)
-    # coefficients of a^2, ab, b^2 inside phi_1
-    c_a2 = gf.mul(gf.mul(be, be2), g1)
-    c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
-    c_b2 = gf.mul(be, gf.add(gf.mul(gf.mul(al, ga), a1), g1))
-    # coefficients inside phi_2
-    d_sym = gf.sub(gf.add(al, ga), gf.scalar_mul(2, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
-    A, B = np.ogrid[:gf.N, :gf.N]
-    aa, bb, ab = mul[A, A], mul[B, B], mul[A, B]
-    phi1 = mul[dinv, add[add[mul[c_a2, aa], mul[c_ab, ab]], mul[c_b2, bb]]]
-    if gf.p == 2:
-        t2inv = gf.inv(t2)
-        ta = mul[sub[mul[g1, A], mul[be, B]], t2inv]
-        tb = mul[sub[mul[a1, B], mul[be, A]], t2inv]
-        corr = add[_pair_correction(gf, ta, al), _pair_correction(gf, tb, ga)]
-        phi1 = add[phi1, mul[be, corr]]
-    sym = add[add[aa, mul[two, mul[be, ab]]], bb]
-    mix = mul[two, mul[be2, add[mul[ga, aa], mul[al, bb]]]]
-    phi2 = mul[gf.mul(be, dinv), add[mul[d_sym, sym], mix]]
-    return phi1, phi2
-
-
-def _coeffs_direct(gf: GF, params: SymplecticParams, branch_per_coeff: bool) -> np.ndarray:
-    """Lambda_ab from the explicit formula; theta = 0 (Lambda_00 real positive)."""
-    N, p = gf.N, gf.p
-    tr = gf.trace_table
-    phi1, phi2 = _phi_tables(gf, params)
-    if p != 2:
-        inv2 = pow(2, p - 2, p)
-        omega = np.exp(2j * np.pi / p)
-        values = np.array([omega**e / N for e in range(p)])
-        return values[(tr[phi1] - inv2 * tr[phi2]) % p]
-    # p = 2: phi_2 = (beta/c) * (a+b)^2; the half of its trace is taken
-    # per basis coefficient of w = a+b (branch omega_2^(1/2) = +i), or
-    # globally on Tr(phi_2) when branch_per_coeff is False.
-    if branch_per_coeff:
-        u = gf.div(params.beta, gf.add(params.alpha, params.gamma))
-        ug2 = np.array([gf.trace(gf.mul(u, gf.mul(g, g))) for g in gf.basis])
-        s2 = gf.coeff_table[gf.add_table] @ ug2  # indexed [a, b] through w = a+b
-    else:
-        s2 = tr[phi2]
-    values = np.array([1j**k / N for k in range(4)])
-    return values[(2 * tr[phi1] - s2) % 4]
-
-
 def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Lambda_ab propagated from Lambda_00 = 1/N through the defining
     relation, hopping each (i, j) to (0, 0) via (M - I)^(-1)."""
@@ -317,12 +261,16 @@ def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray,
     ap = add[mul[a, al], mul[b, be]]
     inner = sub[sub[J, mul[a, be]], mul[b, g1]]
     extra = (tr[mul[ap, inner]] - tr[mul[b, I]]) % p
-    # f(a, b) + extra, reduced as normalize_phase reduces it, elementwise
+    # the phase omega_p^(f(a, b) + extra), in quarter turns for p = 2
+    # (omega_2^(1/2) = +i) and in powers of omega_p for odd p
     num, den = f_table[0][a, b], f_table[1][a, b]
-    num = num + extra * den
-    halve = (den == 2) & (num % 2 == 0)
-    num, den = np.where(halve, num // 2, num), np.where(halve, 1, den)
-    lam = _phase_values(p, num % (p * den), den) / N
+    if p == 2:
+        values = np.array([1j**k / N for k in range(4)])
+        lam = values[(num * (2 // den) + 2 * extra) % 4]
+    else:
+        omega = np.exp(2j * np.pi / p)
+        values = np.array([omega**e / N for e in range(p)])
+        lam = values[(num + extra) % p]
     lam[0, 0] = 1.0 / N
     return lam
 
@@ -382,39 +330,26 @@ def _scalar_order(T: np.ndarray, tol: float) -> int:
 
 
 def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
-    """Construct T, trying the explicit-coefficient formula first and the
-    relation-propagation construction second; every candidate must pass
-    unitarity, the conjugation relation, and the order check before it
-    is accepted."""
+    """Construct T from the closure coefficients; the result must pass
+    unitarity, the conjugation relation for every label, and the order
+    check before it is returned."""
     if gf.N > 32:
         raise ValueError("T construction is supported for N <= 32")
     f_table = _f_table(gf, params)
-    routes = []
-    if gf.p == 2:
-        routes.append(("explicit", lambda: _coeffs_direct(gf, params, branch_per_coeff=True)))
-        routes.append(("explicit-global-branch", lambda: _coeffs_direct(gf, params, branch_per_coeff=False)))
-    else:
-        routes.append(("explicit", lambda: _coeffs_direct(gf, params, branch_per_coeff=False)))
-    routes.append(("closure", lambda: _coeffs_closure(gf, params, f_table)))
-
-    failures = []
-    for route, maker in routes:
-        lam = maker()
-        T = _assemble(gf, lam)
-        uni = float(np.abs(T.conj().T @ T - np.eye(gf.N)).max())
-        if uni > tol:
-            failures.append(f"{route}: unitarity residual {uni:.2e}")
-            continue
-        conj = _conjugation_residual(gf, params, T, f_table)
-        if conj > tol:
-            failures.append(f"{route}: conjugation residual {conj:.2e}")
-            continue
-        order = _scalar_order(T, tol)
-        if order != gf.N + 1:
-            failures.append(f"{route}: order up to phase is {order}, want {gf.N + 1}")
-            continue
-        return TOperator(gf, params, T, lam, f_table, route)
-    raise InvariantViolation("T construction failed every route: " + "; ".join(failures))
+    lam = _coeffs_closure(gf, params, f_table)
+    T = _assemble(gf, lam)
+    uni = float(np.abs(T.conj().T @ T - np.eye(gf.N)).max())
+    if uni > tol:
+        raise InvariantViolation(f"T construction failed: unitarity residual {uni:.2e}")
+    conj = _conjugation_residual(gf, params, T, f_table)
+    if conj > tol:
+        raise InvariantViolation(f"T construction failed: conjugation residual {conj:.2e}")
+    order = _scalar_order(T, tol)
+    if order != gf.N + 1:
+        raise InvariantViolation(
+            f"T construction failed: order up to phase is {order}, want {gf.N + 1}"
+        )
+    return TOperator(gf, params, T, lam, f_table)
 
 
 def make_t_operator(gf: GF) -> TOperator:
@@ -461,7 +396,6 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
         mub_max_deviation=mub_dev,
         mub_ok=mub_dev < tol,
         lambda_flatness=flat,
-        route=top.route,
         all_ok=False,
         notes=notes,
     )

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from quditqkd import cli
+
 RUN = [sys.executable, "-m", "quditqkd.cli"]
 
 
@@ -160,6 +162,25 @@ def test_config_file_merge_and_override(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["L"] == 30000  # flag overrides file
     assert doc["seed"] == 5  # file fills the seed
+
+
+@pytest.mark.parametrize("flag", [["--delta", "0.02"], ["--del", "0.02"], ["--delta=0.02"]])
+def test_abbreviated_flag_overrides_config_file(tmp_path, capsys, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 0.5}))
+    code = cli.main(
+        ["simulate", "--p", "2", "--n", "2", "--L", "100000", "--channel", "noiseless",
+         "--seed", "1", "--config", str(cfg), *flag, "--print-effective-config"]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == 0.02
+
+
+def test_main_leaves_sys_argv_alone(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["host-program", "--its-own-flag"])
+    assert cli.main(["thresholds", "--p", "2", "--n", "2"]) == 0
+    assert sys.argv == ["host-program", "--its-own-flag"]
+    assert json.loads(capsys.readouterr().out)["command"] == "thresholds"
 
 
 def test_config_file_unknown_key(tmp_path):

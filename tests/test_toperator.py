@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import PRIME_POWERS, cached_params, cached_partition, cached_top
+from quditqkd import cli, toperator
+from quditqkd.exceptions import InvariantViolation
 from quditqkd.fields import make_field
 from quditqkd.pauli import PauliLabel, pauli_matrix, phase_value
 from quditqkd.toperator import (
     SymplecticParams,
     _assemble,
     _coeffs_closure,
-    _coeffs_direct,
     _conjugation_residual,
     _f_table,
+    _pair_correction,
     _scalar_order,
     build_T,
     choose_M,
@@ -87,7 +89,7 @@ def test_qubit_coefficients_match_known_phases():
 
 
 # ---------------------------------------------------------------
-# explicit small operators (independent of the builder's route)
+# explicit small operators (independent of the builder)
 # ---------------------------------------------------------------
 
 def reference_t2():
@@ -237,6 +239,85 @@ def test_equiv_class_structure(p, n):
 
 
 # ---------------------------------------------------------------
+# the paper's explicit coefficient formula, as an oracle
+# ---------------------------------------------------------------
+
+def explicit_phi_tables(gf, params):
+    """phi_1 and phi_2 of the explicit coefficient formula, indexed [a, b]."""
+    al, be, ga = params.alpha, params.beta, params.gamma
+    add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
+    two = gf.scalar_mul(2, 1)
+    t2 = gf.sub(two, gf.add(al, ga))  # 2 - alpha - gamma, nonzero
+    dinv = gf.inv(gf.mul(t2, t2))
+    g1 = gf.sub(ga, 1)
+    a1 = gf.sub(al, 1)
+    be2 = gf.mul(be, be)
+    # coefficients of a^2, ab, b^2 inside phi_1
+    c_a2 = gf.mul(gf.mul(be, be2), g1)
+    c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
+    c_b2 = gf.mul(be, gf.add(gf.mul(gf.mul(al, ga), a1), g1))
+    # coefficients inside phi_2
+    d_sym = gf.sub(gf.add(al, ga), gf.scalar_mul(2, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
+    A, B = np.ogrid[:gf.N, :gf.N]
+    aa, bb, ab = mul[A, A], mul[B, B], mul[A, B]
+    phi1 = mul[dinv, add[add[mul[c_a2, aa], mul[c_ab, ab]], mul[c_b2, bb]]]
+    if gf.p == 2:
+        t2inv = gf.inv(t2)
+        ta = mul[sub[mul[g1, A], mul[be, B]], t2inv]
+        tb = mul[sub[mul[a1, B], mul[be, A]], t2inv]
+        corr = add[_pair_correction(gf, ta, al), _pair_correction(gf, tb, ga)]
+        phi1 = add[phi1, mul[be, corr]]
+    sym = add[add[aa, mul[two, mul[be, ab]]], bb]
+    mix = mul[two, mul[be2, add[mul[ga, aa], mul[al, bb]]]]
+    phi2 = mul[gf.mul(be, dinv), add[mul[d_sym, sym], mix]]
+    return phi1, phi2
+
+
+def explicit_coeffs(gf, params, branch_per_coeff):
+    """Lambda_ab from the explicit formula; theta = 0 (Lambda_00 real positive).
+
+    For p = 2 the half of Tr(phi_2) needs a branch of omega_2^(1/2) = +i:
+    taken per basis coefficient of w = a+b, or globally on Tr(phi_2).
+    Neither branch is valid for every N (see the tests below)."""
+    N, p = gf.N, gf.p
+    tr = gf.trace_table
+    phi1, phi2 = explicit_phi_tables(gf, params)
+    if p != 2:
+        inv2 = pow(2, p - 2, p)
+        omega = np.exp(2j * np.pi / p)
+        values = np.array([omega**e / N for e in range(p)])
+        return values[(tr[phi1] - inv2 * tr[phi2]) % p]
+    # p = 2: phi_2 = (beta/c) * (a+b)^2
+    if branch_per_coeff:
+        u = gf.div(params.beta, gf.add(params.alpha, params.gamma))
+        ug2 = np.array([gf.trace(gf.mul(u, gf.mul(g, g))) for g in gf.basis])
+        s2 = gf.coeff_table[gf.add_table] @ ug2  # indexed [a, b] through w = a+b
+    else:
+        s2 = tr[phi2]
+    values = np.array([1j**k / N for k in range(4)])
+    return values[(2 * tr[phi1] - s2) % 4]
+
+
+ODD_FIELDS_TO_31 = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+                    (23, 1), (5, 2), (3, 3), (29, 1), (31, 1)]
+
+
+@pytest.mark.parametrize(
+    "p,n,branch_per_coeff",
+    [(2, 1, True), (2, 3, True), (2, 4, True), (2, 2, False), (2, 5, False)]
+    + [(p, n, False) for p, n in ODD_FIELDS_TO_31],
+)
+def test_built_coefficients_equal_explicit_oracle_bitwise(p, n, branch_per_coeff):
+    # wherever the explicit formula gives a valid T, the closure gives the
+    # same Lambda, down to the last bit
+    gf, params = cached_params(p, n)
+    top = build_T(gf, params)
+    oracle = explicit_coeffs(gf, params, branch_per_coeff)
+    assert top.coeffs.dtype == oracle.dtype
+    assert top.coeffs.tobytes() == oracle.tobytes()
+
+
+# ---------------------------------------------------------------
 # the checks reject wrong candidates
 # ---------------------------------------------------------------
 
@@ -288,7 +369,7 @@ def test_conjugation_residual_covers_every_label(p, n):
 
 def test_global_branch_candidate_fails_conjugation_at_n8():
     gf, params = cached_params(2, 3)
-    T = _assemble(gf, _coeffs_direct(gf, params, branch_per_coeff=False))
+    T = _assemble(gf, explicit_coeffs(gf, params, branch_per_coeff=False))
     assert unitarity_residual(T) < 1e-16
     residual = _conjugation_residual(gf, params, T, _f_table(gf, params))
     assert residual == pytest.approx(0.7071067811865476, abs=1e-12)
@@ -296,7 +377,7 @@ def test_global_branch_candidate_fails_conjugation_at_n8():
 
 def test_per_coefficient_candidate_fails_unitarity_at_n4():
     gf, params = cached_params(2, 2)
-    T = _assemble(gf, _coeffs_direct(gf, params, branch_per_coeff=True))
+    T = _assemble(gf, explicit_coeffs(gf, params, branch_per_coeff=True))
     assert unitarity_residual(T) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -310,3 +391,18 @@ def test_closure_candidate_passes_every_check(p, n):
     assert _conjugation_residual(gf, top.params, T, top.f_table) < TOL
     assert _scalar_order(T, TOL) == gf.N + 1
     assert np.abs(np.abs(lam) - 1.0 / gf.N).max() < TOL
+
+
+def test_build_rejects_a_failing_candidate(monkeypatch):
+    real = toperator._coeffs_closure
+
+    def one_entry_negated(gf, params, f_table):
+        lam = real(gf, params, f_table)
+        lam[1, 0] = -lam[1, 0]
+        return lam
+
+    monkeypatch.setattr(toperator, "_coeffs_closure", one_entry_negated)
+    gf, params = cached_params(2, 2)
+    with pytest.raises(InvariantViolation, match="T construction failed"):
+        build_T(gf, params)
+    assert cli.main(["verify", "--p", "2", "--n", "2"]) == 4
