@@ -11,30 +11,26 @@ USING_NUMBA = False
 
 # -- LOCC2 purification round ------------------------------------------
 #
-# Registers perm[0], perm[1] form the first pair (control, target), and
-# so on; an odd leftover register is dropped.  A pair survives when the
-# two spin labels agree; the surviving control keeps its value and spin
-# label and accumulates the target's phase label.
+# Register 2j (control) pairs with 2j+1 (target); an odd last register is
+# dropped.  A pair survives when the spin labels agree; the control keeps
+# its value and spin label and accumulates the target's phase label.
 
-def ep_round(a, b, s, bob, perm, add_t):
-    m = perm.size // 2
-    c = perm[0 : 2 * m : 2]
-    t = perm[1 : 2 * m : 2]
-    keep = a[c] == a[t]
-    c, t = c[keep], t[keep]
-    return a[c], add_t[b[c], b[t]], s[c], bob[c]
+def ep_round(a, b, s, bob, add_t):
+    m = a.size // 2
+    pairs = np.flatnonzero(a[0 : 2 * m : 2] == a[1 : 2 * m : 2])
+    ctl = lambda v: v[0 : 2 * m : 2].take(pairs)
+    return ctl(a), add_t[ctl(b), b[1 : 2 * m : 2].take(pairs)], ctl(s), ctl(bob)
 
 
-def group_sums(v, ell, r, add_t):
-    acc = v[:, 0].copy()
-    for j in range(1, r):
-        acc = add_t[acc, v[:, j]]
-    return acc
+# Field addition adds base-p digits mod p: sum each digit over a group.
+def group_sums(v, ell, r, gf):
+    sums = gf.coeff_table.astype(np.uint8)[v].sum(axis=1, dtype=np.intp) % gf.p
+    return (sums @ np.array(gf.basis)).astype(v.dtype)
 
 
 def plurality(v, ell, r, N):
-    counts = np.zeros((ell, N), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(ell), r), v.ravel()), 1)
+    flat = (np.arange(ell)[:, None] * N + v).ravel()
+    counts = np.bincount(flat, minlength=ell * N).reshape(ell, N)
     # prefer higher count, then symbol 0, then the smaller symbol
     pref = np.arange(N, 0, -1, dtype=np.int64)
     pref[0] = N + 1

@@ -13,6 +13,15 @@ no-disturbance case when the applied power fixes the standard basis).
 Only sifted particles are materialized: the sifted count is drawn as a
 Binomial(L, 1/(N+1)) and set indices uniformly, which has exactly the
 law of simulating all L transmissions and discarding the mismatches.
+
+No stage shuffles the pool.  Every channel is i.i.d. per particle, and
+testing takes uniform picks from each set blind to labels, so the
+untested pool is exchangeable; pairing adjacent registers (purification)
+or grouping consecutive ones (majority vote) then has the law of doing
+so after a uniform shuffle, and survivors stay exchangeable.  A channel
+that is not i.i.d. must shuffle first.  Testing the first members of
+each set would break this: sets of sizes (3, 2), one test each, leave
+the orders AAB/ABA/BAA 4/3/3 times.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_cla
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A raw-label error process applied per transmitted particle.
+    """A raw-label error process applied i.i.d. per transmitted particle;
+    unshuffled pairing relies on that (module docstring).
 
     kinds:
       noiseless             no errors
@@ -120,7 +130,7 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     q = channel.measure_probability(gf)
     measured = rng.random(count) < q
     c = rng.integers(0, N, size=count, dtype=np.uint8)
-    return np.zeros(count, dtype=np.uint8), np.where(measured, c, 0).astype(np.uint8)
+    return np.zeros(count, dtype=np.uint8), c * measured
 
 
 # ----------------------------------------------------------------------
@@ -232,40 +242,51 @@ def sift(gf: GF, params: SymplecticParams, alice_powers, bob_powers, raw_a, raw_
 class EstimateResult:
     e_hats: list[float]
     qer_estimate: float
-    abort: bool
-    tested_mask: np.ndarray
+    abort_reason: Optional[str]
+    tested_mask: Optional[np.ndarray]
 
 
-def estimate_qer(gf: GF, set_idx, eff_a, test_counts, abort_threshold: float,
+_LOCATE_BLOCK = 1 << 18  # set labels argsorted at a time (cache-sized)
+
+
+def estimate_qer(gf: GF, set_idx, set_sizes, eff_a, test_counts, abort_threshold: float,
                  rng: np.random.Generator) -> EstimateResult:
-    """Sacrifice test_counts[i] random particles from each set, estimate
-    the per-set disagreement rates and the QER upper bound."""
-    n_sets = gf.N + 1
+    """Sacrifice test_counts[i] uniformly random members of each set,
+    estimate the per-set disagreement rates and the QER upper bound.
+    Set sizes are random, so a set smaller than its test count aborts."""
+    picks = []
+    for i, (size, want) in enumerate(zip(set_sizes.tolist(), test_counts.tolist())):
+        if size < want:
+            return EstimateResult([], 0.0, f"set {i} holds {size} particles, cannot test {want}", None)
+        picks.append(rng.choice(size, size=want, replace=False))
+    # walk the pool in blocks; a stable argsort of a block lists its
+    # members set by set, so a pick's rank within the block locates it
+    owner, ranks = np.repeat(np.arange(gf.N + 1), test_counts), np.concatenate(picks)
+    pos = np.empty(ranks.size, dtype=np.intp)
+    for start in range(0, set_idx.size, _LOCATE_BLOCK):
+        blk = set_idx[start : start + _LOCATE_BLOCK]
+        cnt = np.bincount(blk, minlength=gf.N + 1)
+        hit = np.flatnonzero((ranks >= 0) & (ranks < cnt[owner]))
+        first = (np.cumsum(cnt) - cnt)[owner[hit]]  # where each set starts in the sort
+        pos[hit] = start + np.argsort(blk, kind="stable")[first + ranks[hit]]
+        ranks -= cnt[owner]
     tested = np.zeros(set_idx.size, dtype=bool)
-    e_hats = []
-    for i in range(n_sets):
-        members = np.flatnonzero(set_idx == i)
-        want = int(test_counts[i] if np.ndim(test_counts) else test_counts)
-        if members.size < want:
-            raise ConfigError(f"set {i} holds {members.size} particles, cannot test {want}")
-        pick = rng.choice(members.size, size=want, replace=False)
-        chosen = members[pick]
-        tested[chosen] = True
-        e_hats.append(float((eff_a[chosen] != 0).mean()))
+    tested[pos] = True
+    e_hats = (np.bincount(owner, eff_a[pos] != 0, gf.N + 1) / test_counts).tolist()
     est = qer_estimator(e_hats)
-    return EstimateResult(e_hats, est, est > abort_threshold, tested)
+    reason = (f"estimated QER {est:.4f} exceeds threshold {abort_threshold:.4f}"
+              if est > abort_threshold else None)
+    return EstimateResult(e_hats, est, reason, tested)
 
 
-def locc2_ep_round(gf: GF, a, b, s, bob, rng: np.random.Generator):
-    """One purification round over the whole register pool."""
-    perm = rng.permutation(a.size)
-    add_t = gf.add_table.astype(np.uint8)
-    return _kernels.ep_round(a, b, s, bob, perm, add_t)
+def locc2_ep_round(gf: GF, a, b, s, bob):
+    """One purification round; register 2j controls register 2j+1."""
+    return _kernels.ep_round(a, b, s, bob, gf.add_table.astype(np.uint8))
 
 
-def pec_majority(gf: GF, a, b, s, bob, r: int, rng: np.random.Generator):
-    """Group registers in r-tuples, sum values into key digits and track
-    the residual spin/phase errors.
+def pec_majority(gf: GF, a, b, s, bob, r: int):
+    """Group consecutive registers in r-tuples (dropping the last a.size % r),
+    sum values into key digits and track the residual spin/phase errors.
 
     Returns a dict with alice/bob key digits, the group spin sums, and
     the plurality phase labels.
@@ -274,20 +295,13 @@ def pec_majority(gf: GF, a, b, s, bob, r: int, rng: np.random.Generator):
         raise ConfigError("repetition count r must be odd and >= 1")
     if a.size < r:
         raise InvariantViolation(f"{a.size} registers cannot fill a single group of {r}")
-    order = rng.permutation(a.size)
     ell = a.size // r
-    take = order[: ell * r]
-    add_t = gf.add_table.astype(np.uint8)
-    grp = lambda v: v[take].reshape(ell, r)
-    alice_key = _kernels.group_sums(grp(s), ell, r, add_t)
-    bob_key = _kernels.group_sums(grp(bob), ell, r, add_t)
-    spin_sums = _kernels.group_sums(grp(a), ell, r, add_t)
-    phase_votes = _kernels.plurality(grp(b), ell, r, gf.N)
+    grp = lambda v: v[: ell * r].reshape(ell, r)
     return {
-        "alice_key": alice_key,
-        "bob_key": bob_key,
-        "spin_sums": spin_sums,
-        "phase_votes": phase_votes,
+        "alice_key": _kernels.group_sums(grp(s), ell, r, gf),
+        "bob_key": _kernels.group_sums(grp(bob), ell, r, gf),
+        "spin_sums": _kernels.group_sums(grp(a), ell, r, gf),
+        "phase_votes": _kernels.plurality(grp(b), ell, r, gf.N),
     }
 
 
@@ -353,16 +367,23 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     s = rng.integers(0, N, size=n_sift, dtype=np.uint8)
     raw_a, raw_b = sample_raw_labels(channel, gf, n_sift, rng)
+    # flat (set, raw a, raw b) index in the smallest dtype: gathers make no intp copy
+    idx = set_idx.astype(np.min_scalar_type((N + 1) * N * N - 1))
+    for raw in (raw_a, raw_b):
+        idx *= N
+        idx += raw
+    del raw_a, raw_b, raw
     ca, cb = conjugation_tables(gf, params)
-    a = ca[set_idx, raw_a, raw_b]
-    b = cb[set_idx, raw_a, raw_b]
-    bob = add_t[s, a]
-    set_sizes = np.bincount(set_idx, minlength=N + 1)
-
-    wt = np.array([bin(x).count("1") for x in range(N)])
-    sbmer = float((a != 0).mean()) if n_sift else 0.0
-    ber = float(wt[a].mean() / gf.n) if (gf.p == 2 and n_sift) else None
-    sift_counts = np.bincount(a.astype(np.int64) * N + b.astype(np.int64), minlength=N * N)
+    a, b = ca.ravel()[idx], cb.ravel()[idx]
+    raw_counts = np.bincount(idx, minlength=(N + 1) * N * N)
+    del idx
+    set_sizes = raw_counts.reshape(N + 1, N * N).sum(axis=1)
+    codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
+    sift_counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
+    spin_counts = sift_counts.reshape(N, N).sum(axis=1)
+    sbmer = float((n_sift - spin_counts[0]) / n_sift) if n_sift else 0.0
+    bits = gf.coeff_table.sum(axis=1)  # for p = 2, the bit count of each spin label
+    ber = float(bits @ spin_counts / n_sift / gf.n) if (gf.p == 2 and n_sift) else None
 
     report = SimReport(
         N=N,
@@ -386,18 +407,18 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         test_counts = np.floor(set_sizes * config.test_fraction).astype(int)
         test_counts = np.maximum(test_counts, 1)
     threshold = config.resolved_abort_threshold()
-    est = estimate_qer(gf, set_idx, a, test_counts, threshold, rng)
+    est = estimate_qer(gf, set_idx, set_sizes, a, test_counts, threshold, rng)
+    del set_idx
     report.e_hats = est.e_hats
     report.qer_estimate = est.qer_estimate
-    if est.abort:
+    if est.abort_reason is not None:
         report.aborted = True
-        report.abort_reason = (
-            f"estimated QER {est.qer_estimate:.4f} exceeds threshold {threshold:.4f}"
-        )
+        report.abort_reason = est.abort_reason
         return report
 
     keep = ~est.tested_mask
-    a, b, s, bob = a[keep], b[keep], s[keep], bob[keep]
+    a, b, s = a[keep], b[keep], s[keep]
+    bob = add_t[s, a]
 
     # -- purification rounds ---------------------------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
@@ -424,7 +445,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
             report.aborted = True
             report.abort_reason = "register pool exhausted during purification"
             return report
-        a, b, s, bob = locc2_ep_round(gf, a, b, s, bob, rng)
+        a, b, s, bob = locc2_ep_round(gf, a, b, s, bob)
         k += 1
         report.survivors_per_round.append(int(a.size))
         if config.ledger_checks and a.size:
@@ -464,7 +485,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
 
     # -- majority-vote correction and key extraction ----------------------
     report.spin_rate_pre_pec = float((a != 0).mean())
-    pec = pec_majority(gf, a, b, s, bob, r, rng)
+    pec = pec_majority(gf, a, b, s, bob, r)
     ell = pec["alice_key"].size
     mism = pec["alice_key"] != pec["bob_key"]
     if config.ledger_checks:

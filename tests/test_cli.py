@@ -214,6 +214,20 @@ def test_simulate_rejects_nonpositive_trials_and_workers(flags):
     assert res.stderr.startswith("config error:")
 
 
+@pytest.mark.parametrize("L", ["5", "30"])
+def test_simulate_too_few_particles_is_a_protocol_abort(tmp_path, L):
+    out = tmp_path / "sim.json"
+    res = run_cli(
+        ["--output", str(out), "--seed", "1", "simulate", "--p", "2", "--n", "1", "--L", L,
+         "--channel", "noiseless"]
+    )
+    assert res.returncode == 0, res.stderr
+    result = json.loads(out.read_text())["result"]
+    assert result["aborted"] is True and result["key_length"] == 0
+    if L == "5":
+        assert result["abort_reason"] == "set 0 holds 0 particles, cannot test 1"
+
+
 def test_print_effective_config():
     res = run_cli(
         ["--print-effective-config", "--seed", "9", "simulate", "--p", "2", "--n", "2",

@@ -15,15 +15,14 @@ def pool():
     b = rng.integers(0, 16, n, dtype=np.uint8)
     s = rng.integers(0, 16, n, dtype=np.uint8)
     bob = add_t[s, a]
-    perm = rng.permutation(n)
-    return add_t, a, b, s, bob, perm
+    return add_t, a, b, s, bob
 
 
 # plain-Python references: one pair or one group at a time
-def ep_round_reference(a, b, s, bob, perm, add_t):
+def ep_round_reference(a, b, s, bob, add_t):
     out = ([], [], [], [])
-    for i in range(len(perm) // 2):
-        c, t = perm[2 * i], perm[2 * i + 1]
+    for i in range(len(a) // 2):
+        c, t = 2 * i, 2 * i + 1
         if a[c] == a[t]:
             for dst, val in zip(out, (a[c], add_t[b[c]][b[t]], s[c], bob[c])):
                 dst.append(val)
@@ -56,37 +55,42 @@ def plurality_reference(v, N):
 
 @pytest.fixture(scope="module")
 def small_pool(pool):
-    add_t, a, b, s, bob, _ = pool
+    add_t, a, b, s, bob = pool
     n = 2_001
-    perm = np.random.default_rng(7).permutation(n)
-    return add_t, a[:n], b[:n], s[:n], bob[:n], perm
+    return add_t, a[:n], b[:n], s[:n], bob[:n]
 
 
 def test_ep_round_paths_agree(small_pool):
-    """The kernel and the plain-Python reference agree."""
-    add_t, a, b, s, bob, perm = small_pool
+    """The kernel and the plain-Python reference agree, pairing register
+    2j with 2j+1 and dropping the odd last one."""
+    add_t, a, b, s, bob = small_pool
     want = ep_round_reference(*(x.tolist() for x in small_pool[1:]), add_t.tolist())
-    got = kernels.ep_round(a, b, s, bob, perm, add_t)
+    got = kernels.ep_round(a, b, s, bob, add_t)
     assert len(want[0]) > 0
     for w, g in zip(want, got):
         assert g.tolist() == w
 
 
-def test_group_sums_paths_agree(small_pool):
-    """The kernel and the plain-Python reference agree."""
-    add_t, a, *_ = small_pool
+def test_group_sums_paths_agree():
+    """The kernel and the plain-Python reference agree, in even and odd
+    characteristic."""
+    rng = np.random.default_rng(11)
     ell, r = 80, 25
-    v = a[: ell * r].reshape(ell, r)
-    want = group_sums_reference(v.tolist(), add_t.tolist())
-    assert kernels.group_sums(v, ell, r, add_t).tolist() == want
+    for p, n in [(2, 2), (2, 4), (3, 2), (5, 1)]:
+        gf = make_field(p, n)
+        v = rng.integers(0, gf.N, (ell, r), dtype=np.uint8)
+        want = group_sums_reference(v.tolist(), gf.add_table.tolist())
+        got = kernels.group_sums(v, ell, r, gf)
+        assert got.dtype == v.dtype
+        assert got.tolist() == want, (p, n)
 
 
 def test_group_sums_match_xor_for_p2(pool):
-    add_t, a, *_ = pool
+    _, a, *_ = pool
     ell, r = 500, 9
     v = a[: ell * r].reshape(ell, r)
     want = np.bitwise_xor.reduce(v, axis=1)
-    assert (kernels.group_sums(v, ell, r, add_t) == want).all()
+    assert (kernels.group_sums(v, ell, r, make_field(2, 4)) == want).all()
 
 
 def test_plurality_paths_agree(small_pool):

@@ -1,13 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from conftest import cached_params, cached_partition
+from quditqkd import protocol
 from quditqkd.exceptions import ConfigError
 from quditqkd.protocol import (
     ChannelModel,
     ProtocolConfig,
+    estimate_qer,
     locc2_ep_round,
     pec_majority,
     run_protocol,
@@ -99,6 +103,95 @@ def test_sift_conjugates_labels():
 
 
 # ---------------------------------------------------------------
+# estimation
+# ---------------------------------------------------------------
+
+def estimate_reference(set_idx, eff_a, test_counts, rng):
+    """One flatnonzero scan per set: the locator the block-wise one replaced."""
+    tested = np.zeros(set_idx.size, dtype=bool)
+    e_hats = []
+    for i, want in enumerate(test_counts):
+        members = np.flatnonzero(set_idx == i)
+        chosen = members[rng.choice(members.size, size=want, replace=False)]
+        tested[chosen] = True
+        e_hats.append(float((eff_a[chosen] != 0).mean()))
+    return tested, e_hats
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, 1 << 18])
+def test_block_locator_matches_per_set_scan(monkeypatch, block):
+    gf, _ = cached_params(2, 2)
+    rng = np.random.default_rng(21)
+    n = 1_000
+    set_idx = rng.integers(0, 5, n, dtype=np.uint8)
+    # set 2 is tested whole and sits on both sides of every block edge
+    # (and at both ends of the pool) for blocks of 7 and 64
+    k = np.arange(n)
+    set_idx[np.isin(k % 7, (0, 6)) | np.isin(k % 64, (0, 63)) | (k == n - 1)] = 2
+    eff_a = rng.integers(0, 4, n, dtype=np.uint8)
+    sizes = np.bincount(set_idx, minlength=5)
+    test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
+    monkeypatch.setattr(protocol, "_LOCATE_BLOCK", block)
+    est = estimate_qer(gf, set_idx, sizes, eff_a, test_counts, 0.9, np.random.default_rng(5))
+    tested, e_hats = estimate_reference(set_idx, eff_a, test_counts, np.random.default_rng(5))
+    assert (est.tested_mask == tested).all()
+    assert est.e_hats == e_hats
+    assert est.tested_mask[[0, 6, 7, 63, 64, n - 1]].all()
+
+
+def test_undersized_set_aborts_the_run():
+    rep = run_protocol(make_config(2, 1, L=5, rng_seed=1, test_fraction=None, test_count=1),
+                       ChannelModel.noiseless())
+    assert rep.aborted
+    assert rep.abort_reason == "set 0 holds 0 particles, cannot test 1"
+    assert rep.e_hats == [] and rep.key_length == 0
+    rep = run_protocol(make_config(2, 1, L=3_000, test_fraction=None, test_count=2_000),
+                       ChannelModel.noiseless())
+    assert rep.aborted and rep.abort_reason.startswith("set 0 holds ")
+    assert rep.abort_reason.endswith(" particles, cannot test 2000")
+
+
+# Pre-purification fields of two fixed-seed runs, recorded from the
+# implementation that shuffled the pool and scanned it once per set.
+PINNED_PRE_EP = [
+    (dict(p=2, n=2, L=100_000, rng_seed=1234, test_fraction=0.01, ep_rounds=1, pec_r=5),
+     ("pauli-iid", 0.8),
+     {"n_sifted": 20084, "set_sizes": [3990, 3937, 4057, 4059, 4041],
+      "e_hats": [0.28205128205128205, 0.07692307692307693, 0.15, 0.1, 0.2],
+      "qer_estimate": 0.20224358974358975, "empirical_sbmer": 0.15509858593905596,
+      "empirical_ber": 0.07754929296952798,
+      "post_sift_label_counts": [16188, 781, 0, 0, 779, 0, 806, 0, 0, 787, 743, 0, 0, 0, 0, 0]}),
+    (dict(p=2, n=3, L=300_000, rng_seed=99, test_fraction=None, test_count=40, ep_rounds=2,
+          pec_r=9),
+     ("grouped-qubit-attack", 0.3),
+     {"n_sifted": 33373,
+      "set_sizes": [3636, 3682, 3815, 3689, 3733, 3656, 3807, 3657, 3698],
+      "e_hats": [0.0, 0.35, 0.225, 0.325, 0.275, 0.225, 0.4, 0.15, 0.225],
+      "qer_estimate": 0.271875, "empirical_sbmer": 0.23282294070056633,
+      "empirical_ber": 0.13376082461870373,
+      "post_sift_label_counts": [
+          24622, 152, 129, 132, 147, 141, 147, 133, 133, 157, 127, 126, 137, 141, 124, 132,
+          142, 110, 150, 135, 155, 146, 132, 132, 134, 132, 148, 137, 130, 156, 140, 133,
+          122, 140, 140, 143, 130, 135, 143, 138, 140, 127, 140, 143, 147, 131, 136, 131,
+          119, 146, 155, 142, 165, 148, 147, 151, 133, 149, 150, 142, 140, 124, 140, 144]}),
+]
+
+
+@pytest.mark.parametrize("kw,channel,want", PINNED_PRE_EP)
+def test_pre_purification_fields_are_pinned(kw, channel, want):
+    p, n = kw.pop("p"), kw.pop("n")
+    gf, _ = cached_params(p, n)
+    kind, value = channel
+    if kind == "pauli-iid":
+        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), value))
+    else:
+        ch = ChannelModel.grouped_qubit_attack(value)
+    got = run_protocol(make_config(p, n, **kw), ch).to_dict()
+    assert not got["aborted"]
+    assert json.dumps({k: got[k] for k in want}) == json.dumps(want)
+
+
+# ---------------------------------------------------------------
 # purification and majority vote stages
 # ---------------------------------------------------------------
 
@@ -108,7 +201,7 @@ def test_ep_round_noiseless_halves_pool():
     n = 10_000
     z = np.zeros(n, dtype=np.uint8)
     s = rng.integers(0, 2, n, dtype=np.uint8)
-    a2, b2, s2, bob2 = locc2_ep_round(gf, z, z, s, s.copy(), rng)
+    a2, b2, s2, bob2 = locc2_ep_round(gf, z, z, s, s.copy())
     assert a2.size == n // 2
     assert not a2.any() and not b2.any()
     assert (bob2 == s2).all()
@@ -122,7 +215,7 @@ def test_ep_round_never_keeps_mismatched_pairs():
     b = rng.integers(0, 4, n, dtype=np.uint8)
     s = rng.integers(0, 4, n, dtype=np.uint8)
     bob = gf.add_table.astype(np.uint8)[s, a]
-    a2, b2, s2, bob2 = locc2_ep_round(gf, a, b, s, bob, rng)
+    a2, b2, s2, bob2 = locc2_ep_round(gf, a, b, s, bob)
     # ledger stays sound, which can only hold if kept pairs agreed
     assert (bob2 == gf.add_table.astype(np.uint8)[s2, a2]).all()
     # survival fraction matches sum_a P(a)^2 within 3 sigma
@@ -141,7 +234,7 @@ def test_ep_round_empirical_matches_recursion():
     a, b = (lab // 2).astype(np.uint8), (lab % 2).astype(np.uint8)
     s = rng.integers(0, 2, n, dtype=np.uint8)
     bob = gf.add_table.astype(np.uint8)[s, a]
-    a2, b2, _, _ = locc2_ep_round(gf, a, b, s, bob, rng)
+    a2, b2, _, _ = locc2_ep_round(gf, a, b, s, bob)
     want = ep_step(d).rates
     emp = np.bincount(a2.astype(int) * 2 + b2.astype(int), minlength=4) / a2.size
     for idx in range(4):
@@ -156,7 +249,7 @@ def test_pec_majority_clean_ledger():
     n = 99
     z = np.zeros(n, dtype=np.uint8)
     s = rng.integers(0, 2, n, dtype=np.uint8)
-    out = pec_majority(gf, z, z, s, s.copy(), 9, rng)
+    out = pec_majority(gf, z, z, s, s.copy(), 9)
     assert (out["alice_key"] == out["bob_key"]).all()
     assert not out["spin_sums"].any() and not out["phase_votes"].any()
 
@@ -164,21 +257,19 @@ def test_pec_majority_clean_ledger():
 def test_pec_majority_phase_without_spin():
     # spin sums zero: digits agree even though phase errors are present
     gf, _ = cached_params(2, 1)
-    rng = np.random.default_rng(3)
     a = np.zeros(5, dtype=np.uint8)
     b = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
     s = np.array([0, 1, 0, 1, 1], dtype=np.uint8)
-    out = pec_majority(gf, a, b, s, s.copy(), 5, rng)
+    out = pec_majority(gf, a, b, s, s.copy(), 5)
     assert (out["alice_key"] == out["bob_key"]).all()
     assert out["phase_votes"][0] == 1
 
 
 def test_pec_majority_validates_r():
     gf, _ = cached_params(2, 1)
-    rng = np.random.default_rng(0)
     z = np.zeros(10, dtype=np.uint8)
     with pytest.raises(ConfigError):
-        pec_majority(gf, z, z, z, z, 4, rng)
+        pec_majority(gf, z, z, z, z, 4)
 
 
 # ---------------------------------------------------------------
@@ -252,6 +343,46 @@ def test_post_ep_distribution_matches_recursion():
     for idx in range(4):
         sigma = np.sqrt(want[idx] * (1 - want[idx]) / n)
         assert abs(emp[idx] - want[idx]) <= 4 * sigma + 1e-12
+
+
+def test_adjacent_pairing_matches_recursion_across_seeds():
+    """Over 200 seeds, round-1 survivors and the pooled post-round label
+    histogram agree with ep_step: each chi-square statistic stays below
+    its 0.999 quantile."""
+    gf, _ = cached_params(2, 2)
+    d = worst_case_distribution(gf, cached_partition(2, 2), 0.75)
+    cfg = make_config(2, 2, L=20_000, rng_seed=2024, ep_rounds=1, pec_r=1)
+    reps = run_trials(cfg, ChannelModel.pauli_iid(d), 200)
+    p_agree = float((d.rates.sum(axis=1) ** 2).sum())
+    surv_stat, labels = 0.0, np.zeros(16)
+    for rep in reps:
+        assert not rep.aborted and rep.ep_rounds == 1
+        pool = rep.n_sifted - sum(max(1, int(c * 0.01)) for c in rep.set_sizes)
+        pairs, surv = pool // 2, rep.survivors_per_round[0]
+        surv_stat += (surv - pairs * p_agree) ** 2 / (pairs * p_agree * (1 - p_agree))
+        labels += np.rint(np.array(rep.post_ep_label_dist) * surv)
+    assert surv_stat < chi2.ppf(0.999, len(reps))
+    want = ep_step(d).rates.ravel() * labels.sum()
+    cells = want > 0
+    assert labels[~cells].sum() == 0
+    label_stat = float(((labels[cells] - want[cells]) ** 2 / want[cells]).sum())
+    assert label_stat < chi2.ppf(0.999, cells.sum() - 1)
+
+
+def test_peak_memory_per_sifted_register():
+    # traced (NumPy-reported) peak of one N=16 grouped-attack run
+    gf, _ = cached_params(2, 4)
+    L = 15_000_000
+    cfg = ProtocolConfig(gf=gf, L=L, rng_seed=3, test_count=int(0.01 * L / 289),
+                         delta=0.0065, ep_rounds=4, pec_r=25)
+    tracemalloc.start()
+    try:
+        rep = run_protocol(cfg, ChannelModel.grouped_qubit_attack(0.84))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.aborted and rep.keys_match
+    assert peak / rep.n_sifted <= 18.0
 
 
 def test_qer_030_completes_with_low_mismatch_rate():
