@@ -8,8 +8,8 @@ resolved configuration, the seed, and the field modulus so a run can be
 reproduced exactly.
 
 Exit codes: 0 success (a protocol abort is a successful simulation),
-2 usage error, 3 config semantics error, 4 internal invariant failure,
-5 I/O failure.
+2 usage error, 3 config semantics error (also a run too large for
+memory), 4 internal invariant failure, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -455,6 +455,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         # ConfigError and invalid field parameters both land here
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print(f"config error: out of memory at L={getattr(args, 'L', None)}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

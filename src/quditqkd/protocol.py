@@ -36,8 +36,11 @@ import numpy as np
 from . import _kernels
 from .exceptions import ConfigError, InvariantViolation
 from .fields import GF
-from .rates import ErrorDistribution, ep_closed_form, thresholds, qer_estimator, worst_case_distribution
+from .rates import (ErrorDistribution, ep_closed_form, pec_phase_bound, qer_estimator, thresholds,
+                    worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
+
+_BLOCK = 1 << 18  # elements drawn, counted or argsorted at a time (cache-sized)
 
 
 # ----------------------------------------------------------------------
@@ -116,21 +119,32 @@ class ChannelModel:
         return 0.0
 
 
+def _fill(out: np.ndarray, draw) -> np.ndarray:
+    """Fill *out* from draw(size) a block at a time; float draws (also
+    choice with p) give the same stream in blocks as in one call."""
+    for start in range(0, out.size, _BLOCK):
+        blk = out[start : start + _BLOCK]
+        blk[...] = draw(blk.size)
+    return out
+
+
 def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.Generator):
-    """Raw (pre-sift) error labels for *count* particles."""
+    """Raw (pre-sift) error labels (a, b) of *count* particles, as the flat
+    label a*N + b in the smallest unsigned dtype that holds N*N - 1."""
     channel.validate(gf)
     N = gf.N
+    dtype = np.min_scalar_type(N * N - 1)
     if channel.kind == "noiseless":
-        return np.zeros(count, dtype=np.uint8), np.zeros(count, dtype=np.uint8)
+        return np.zeros(count, dtype=dtype)
     if channel.kind == "pauli-iid":
-        flat = channel.label_rates.ravel()
-        lab = rng.choice(N * N, size=count, p=flat / flat.sum())
-        return (lab // N).astype(np.uint8), (lab % N).astype(np.uint8)
+        p = channel.label_rates.ravel() / channel.label_rates.ravel().sum()
+        return _fill(np.empty(count, dtype), lambda m: rng.choice(N * N, size=m, p=p))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
-    measured = rng.random(count) < q
+    measured = _fill(np.empty(count, dtype=bool), lambda m: rng.random(m) < q)
     c = rng.integers(0, N, size=count, dtype=np.uint8)
-    return np.zeros(count, dtype=np.uint8), c * measured
+    c *= measured
+    return c.astype(dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +260,6 @@ class EstimateResult:
     tested_mask: Optional[np.ndarray]
 
 
-_LOCATE_BLOCK = 1 << 18  # set labels argsorted at a time (cache-sized)
-
-
 def estimate_qer(gf: GF, set_idx, set_sizes, eff_a, test_counts, abort_threshold: float,
                  rng: np.random.Generator) -> EstimateResult:
     """Sacrifice test_counts[i] uniformly random members of each set,
@@ -263,8 +274,8 @@ def estimate_qer(gf: GF, set_idx, set_sizes, eff_a, test_counts, abort_threshold
     # members set by set, so a pick's rank within the block locates it
     owner, ranks = np.repeat(np.arange(gf.N + 1), test_counts), np.concatenate(picks)
     pos = np.empty(ranks.size, dtype=np.intp)
-    for start in range(0, set_idx.size, _LOCATE_BLOCK):
-        blk = set_idx[start : start + _LOCATE_BLOCK]
+    for start in range(0, set_idx.size, _BLOCK):
+        blk = set_idx[start : start + _BLOCK]
         cnt = np.bincount(blk, minlength=gf.N + 1)
         hit = np.flatnonzero((ranks >= 0) & (ranks < cnt[owner]))
         first = (np.cumsum(cnt) - cnt)[owner[hit]]  # where each set starts in the sort
@@ -309,15 +320,18 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
 # Round/repetition selection
 # ----------------------------------------------------------------------
 
-def _analytic_bounds(gf: GF, partition, e00_eff: float, k: int, r: int) -> tuple[float, float]:
-    """Worst-case analytic (spin, phase) residual bounds after k rounds
-    and [r,1,r] voting, at assumed initial rate e00_eff."""
-    N = gf.N
-    wc = worst_case_distribution(gf, partition, e00_eff)
+def _bounds_after(wc: Optional[ErrorDistribution], e00_eff: float, k: int):
+    """r -> worst-case (spin, phase) residual bounds after k rounds and [r,1,r]
+    voting at assumed initial rate e00_eff, or None without a worst case wc.
+    The closed form is the only r-free work, so it is built once per k."""
+    if wc is None:
+        return None
     wck = ep_closed_form(wc, k)
-    x = (1.0 - e00_eff) / (N + 1)
-    rho = ((e00_eff - x) / (e00_eff + x)) ** (2 ** (k + 1))
-    return r * wck.spin_error_rate(), (N - 1) * (1.0 - rho / 2.0) ** r
+
+    def bounds(r: int) -> tuple[float, float]:
+        b = pec_phase_bound(wck, e00_eff, k, r)
+        return b.spin, b.phase
+    return bounds
 
 
 def _r_grid(limit: int) -> list[int]:
@@ -332,17 +346,16 @@ def _r_grid(limit: int) -> list[int]:
     return out
 
 
-def _select_rounds_and_r(gf: GF, partition, e00_eff: float, survivors: int,
-                         epsilon_i: float, k_now: int, analytic_ok: bool):
-    """Try to certify a (k = k_now, odd r) pair meeting the eps_I/ell^2
-    target via the analytic bounds.  Returns (r, spin, phase) or None."""
-    if not analytic_ok:
+def _select_r(bounds, survivors: int, epsilon_i: float):
+    """Try to certify an odd r meeting the eps_I/ell^2 target via the
+    analytic bounds.  Returns (r, spin, phase) or None."""
+    if bounds is None:
         return None
     for r in _r_grid(max(1, survivors // 2)):
         ell = survivors // r
         if ell < 1:
             break
-        spin, phase = _analytic_bounds(gf, partition, e00_eff, k_now, r)
+        spin, phase = bounds(r)
         if spin + phase <= epsilon_i / ell**2:
             return r, spin, phase
     return None
@@ -366,16 +379,14 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     s = rng.integers(0, N, size=n_sift, dtype=np.uint8)
-    raw_a, raw_b = sample_raw_labels(channel, gf, n_sift, rng)
     # flat (set, raw a, raw b) index in the smallest dtype: gathers make no intp copy
     idx = set_idx.astype(np.min_scalar_type((N + 1) * N * N - 1))
-    for raw in (raw_a, raw_b):
-        idx *= N
-        idx += raw
-    del raw_a, raw_b, raw
+    idx *= N * N
+    idx += sample_raw_labels(channel, gf, n_sift, rng)
     ca, cb = conjugation_tables(gf, params)
     a, b = ca.ravel()[idx], cb.ravel()[idx]
-    raw_counts = np.bincount(idx, minlength=(N + 1) * N * N)
+    raw_counts = sum((np.bincount(idx[i : i + _BLOCK], minlength=(N + 1) * N * N)
+                      for i in range(0, n_sift, _BLOCK)), np.zeros((N + 1) * N * N, np.intp))
     del idx
     set_sizes = raw_counts.reshape(N + 1, N * N).sum(axis=1)
     codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
@@ -422,24 +433,25 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
 
     # -- purification rounds ---------------------------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
-    dom_edge = 1.0 / (N + 2) if gf.p == 2 else 2.0 / (N + 3)
-    analytic_ok = e00_eff > dom_edge + 1e-9 and e00_eff < 1.0
-    target_rounds = config.ep_rounds if config.ep_rounds is not None else None
+    # residual bounds are derived for p = 2 inside the dominance region only
+    analytic_ok = gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0
+    wc = worst_case_distribution(gf, partition, e00_eff) if analytic_ok else None
+    auto = config.ep_rounds is None and config.pec_r is None
+    rounds = config.ep_rounds if config.ep_rounds is not None else config.ep_rounds_max
     chosen: Optional[tuple[int, float, float]] = None
     k = 0
     while True:
-        if target_rounds is None and config.pec_r is None:
-            sel = _select_rounds_and_r(
-                gf, partition, e00_eff, a.size, config.epsilon_i, k, analytic_ok
-            )
-            if sel is not None:
-                chosen = sel
+        if auto:
+            bounds = _bounds_after(wc, e00_eff, k)
+            chosen = _select_r(bounds, a.size, config.epsilon_i)
+            if chosen is not None:
                 report.analytic_target_met = True
                 break
-            if k >= config.ep_rounds_max:
-                report.analytic_target_met = False
+            if k >= rounds:  # odd p has no bound to miss, so it reports null
+                report.analytic_target_met = False if gf.p == 2 else None
                 break
-        elif k >= (target_rounds if target_rounds is not None else config.ep_rounds_max):
+        elif k >= rounds:
+            bounds = _bounds_after(wc, e00_eff, k)
             break
         if a.size < 2:
             report.aborted = True
@@ -460,23 +472,18 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     # -- repetition count ------------------------------------------------
     if config.pec_r is not None:
         r = config.pec_r
-        if analytic_ok:
-            spin_b, phase_b = _analytic_bounds(gf, partition, e00_eff, k, r)
-            report.analytic_spin_bound, report.analytic_phase_bound = spin_b, phase_b
+        if bounds is not None:
+            report.analytic_spin_bound, report.analytic_phase_bound = bounds(r)
     elif chosen is not None:
         r, report.analytic_spin_bound, report.analytic_phase_bound = chosen
+    elif bounds is not None:
+        # no certified r: take the one with the smallest bound total
+        r, report.analytic_spin_bound, report.analytic_phase_bound = min(
+            ((c, *bounds(c)) for c in _r_grid(max(1, a.size // 2))), key=lambda t: t[1] + t[2])
     else:
-        # bound-free fallback: balance digit count against residuals
-        if analytic_ok:
-            best = None
-            for cand in _r_grid(max(1, a.size // 2)):
-                spin_b, phase_b = _analytic_bounds(gf, partition, e00_eff, k, cand)
-                if best is None or spin_b + phase_b < best[1] + best[2]:
-                    best = (cand, spin_b, phase_b)
-            r, report.analytic_spin_bound, report.analytic_phase_bound = best
-        else:
-            r = max(1, int(math.isqrt(a.size)))
-            r += 1 - r % 2
+        # bound-free fallback: balance digit count against group size
+        r = max(1, int(math.isqrt(a.size)))
+        r += 1 - r % 2
     if r > a.size:
         report.aborted = True
         report.abort_reason = f"repetition count {r} exceeds the {a.size} remaining registers"

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -107,6 +108,74 @@ def test_simulate_report_roundtrip(tmp_path):
     assert doc["config"]["L"] == 20000
     assert doc["result"]["keys_match"] is True
     assert json.loads(json.dumps(doc)) == doc
+
+
+# (pec_r, ep_rounds, analytic_target_met, spin bound, phase bound) of each
+# trial of `simulate --p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4
+# --trials 20 --workers 2 --seed 5`, recorded from the implementation that
+# rebuilt the worst-case closed form for every candidate r
+PINNED_TRIAL_BOUNDS = [
+    (2129, 4, False, 6.699894131665834e-07, 2.6125767123844175),
+    (2129, 4, False, 8.5752497549067e-08, 1.8767998871860545),
+    (2129, 4, False, 8.150843818360223e-07, 2.6561942535374206),
+    (2129, 4, False, 2.008157521212733e-06, 2.8088022089057927),
+    (2129, 4, False, 1.5836326221524213e-07, 2.150966724982275),
+    (2129, 4, False, 2.609121467331196e-06, 2.840568341462654),
+    (2129, 4, False, 2.2073663340649367e-07, 2.280381442714556),
+    (2129, 4, False, 6.335144914694934e-07, 2.5993521184086177),
+    (2129, 4, False, 3.26004504700265e-07, 2.4144088752039576),
+    (2129, 4, False, 2.2653104469210888e-06, 2.8240303087998466),
+    (2129, 4, False, 1.294145891789678e-06, 2.743577660736929),
+    (2129, 4, False, 1.5999190629192876e-07, 2.155161486958848),
+    (2129, 4, False, 4.356256018034967e-07, 2.501631061728057),
+    (2129, 4, False, 4.4987769805797275e-07, 2.5106817106781634),
+    (2129, 4, False, 1.1273074636174367e-06, 2.7196444109779807),
+    (2129, 4, False, 1.4503164752695115e-06, 2.7620421982269336),
+    (2129, 4, False, 2.693788144042981e-07, 2.3512530477624445),
+    (2129, 4, False, 2.2290230949350305e-07, 2.2839741950949612),
+    (2129, 4, False, 1.6783129348026458e-07, 2.1746000479094025),
+    (2129, 4, False, 6.793837651073409e-07, 2.615812288941269),
+]
+
+
+def test_trial_bounds_are_pinned(tmp_path):
+    out = tmp_path / "trials.json"
+    assert cli.main(["--output", str(out), "simulate", "--p", "2", "--n", "2",
+                     "--L", "1000000", "--channel", "pauli-iid", "--qer", "0.4",
+                     "--trials", "20", "--workers", "2", "--seed", "5"]) == 0
+    trials = json.loads(out.read_text())["result"]["trials"]
+    keys = ("pec_r", "ep_rounds", "analytic_target_met",
+            "analytic_spin_bound", "analytic_phase_bound")
+    assert [tuple(t[k] for k in keys) for t in trials] == PINNED_TRIAL_BOUNDS
+
+
+def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
+    # no residual bound is derived for odd p: nothing is certified, every
+    # round runs and r is the bound-free isqrt of the survivors, made odd
+    out = tmp_path / "p3.json"
+    assert cli.main(["--output", str(out), "simulate", "--p", "3", "--n", "1",
+                     "--L", "200000", "--channel", "pauli-iid", "--qer", "0.1",
+                     "--abort-threshold", "0.3", "--seed", "3"]) == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["analytic_target_met"] is None
+    assert res["analytic_spin_bound"] is None and res["analytic_phase_bound"] is None
+    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22296, 11123, 5561, 2780]
+    assert res["pec_r"] == 53 and res["key_length"] == 52 and res["keys_match"]
+
+
+def test_oversized_run_exits_3_without_traceback():
+    def cap_address_space():  # runs in the child only
+        limit = 2_000_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child_env = {k: v for k, v in os.environ.items() if k != "QUDIT_QKD_SEED"}
+    res = subprocess.run(
+        RUN + ["simulate", "--p", "2", "--n", "1", "--L", "1000000000000",
+               "--channel", "noiseless", "--seed", "1"],
+        capture_output=True, text=True, env=child_env, preexec_fn=cap_address_space)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr == "config error: out of memory at L=1000000000000\n"
 
 
 def test_simulate_requires_seed():

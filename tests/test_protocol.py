@@ -36,17 +36,49 @@ def make_config(p, n, **kw):
 def test_noiseless_channel_labels():
     gf, _ = cached_params(2, 2)
     rng = np.random.default_rng(0)
-    a, b = sample_raw_labels(ChannelModel.noiseless(), gf, 1000, rng)
+    lab = sample_raw_labels(ChannelModel.noiseless(), gf, 1000, rng)
+    a, b = lab // gf.N, lab % gf.N
     assert not a.any() and not b.any()
 
 
 def test_measure_twirl_is_phase_only_in_channel_frame():
     gf, _ = cached_params(2, 2)
     rng = np.random.default_rng(0)
-    a, b = sample_raw_labels(ChannelModel.intercept_resend(1.0), gf, 5000, rng)
+    lab = sample_raw_labels(ChannelModel.intercept_resend(1.0), gf, 5000, rng)
+    a, b = lab // gf.N, lab % gf.N
     assert not a.any()
     counts = np.bincount(b, minlength=4) / 5000
     assert np.abs(counts - 0.25).max() < 0.03
+
+
+def random_label_channel(N):
+    """A pauli-iid channel that gives every raw label some mass."""
+    rates = np.random.default_rng(N).dirichlet(np.ones(N * N)).reshape(N, N)
+    return ChannelModel("pauli-iid", label_rates=rates)
+
+
+# N = 17 and N = 32 need a uint16 flat label
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 4), (17, 1), (2, 5)])
+def test_flat_sift_index_matches_two_pass_composition(p, n):
+    gf, params = cached_params(p, n)
+    N = gf.N
+    ch = random_label_channel(N)
+    lab = sample_raw_labels(ch, gf, 50_000, np.random.default_rng(3))
+    assert lab.dtype == np.min_scalar_type(N * N - 1)
+    assert (lab == np.random.default_rng(3).choice(N * N, 50_000, p=ch.label_rates.ravel())).all()
+    cfg = make_config(p, n, L=200_000, rng_seed=9, abort_threshold=0.5)
+    rep = run_protocol(cfg, ch)
+    # replay run_protocol's draws and sift them with split (a, b) labels
+    rng = np.random.default_rng(9)
+    n_sift = int(rng.binomial(cfg.L, 1.0 / (N + 1)))
+    set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
+    rng.integers(0, N, size=n_sift, dtype=np.uint8)  # key digits
+    lab = rng.choice(N * N, size=n_sift, p=ch.label_rates.ravel())
+    _, _, eff_a, eff_b = sift(gf, params, set_idx, set_idx, lab // N, lab % N)
+    assert rep.n_sifted == n_sift
+    assert rep.set_sizes == np.bincount(set_idx, minlength=N + 1).tolist()
+    counts = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
+    assert rep.post_sift_label_counts == counts.tolist()
 
 
 def test_grouped_attack_requires_p2():
@@ -131,7 +163,7 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
     eff_a = rng.integers(0, 4, n, dtype=np.uint8)
     sizes = np.bincount(set_idx, minlength=5)
     test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
-    monkeypatch.setattr(protocol, "_LOCATE_BLOCK", block)
+    monkeypatch.setattr(protocol, "_BLOCK", block)
     est = estimate_qer(gf, set_idx, sizes, eff_a, test_counts, 0.9, np.random.default_rng(5))
     tested, e_hats = estimate_reference(set_idx, eff_a, test_counts, np.random.default_rng(5))
     assert (est.tested_mask == tested).all()
@@ -383,6 +415,37 @@ def test_peak_memory_per_sifted_register():
         tracemalloc.stop()
     assert not rep.aborted and rep.keys_match
     assert peak / rep.n_sifted <= 18.0
+
+
+@pytest.mark.parametrize("kind", ["pauli-iid", "grouped-qubit-attack"])
+def test_block_size_leaves_reports_unchanged(monkeypatch, kind):
+    # blocked twirl draws and blocked sift counts keep every field
+    gf, _ = cached_params(2, 2)
+    if kind == "pauli-iid":
+        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.8))
+    else:
+        ch = ChannelModel.grouped_qubit_attack(0.3)
+    cfg = make_config(2, 2, L=50_000, ep_rounds=1, pec_r=5)
+    want = run_protocol(cfg, ch).to_dict()
+    monkeypatch.setattr(protocol, "_BLOCK", 997)
+    assert run_protocol(cfg, ch).to_dict() == want
+
+
+def test_bounds_built_once_per_round_count(monkeypatch):
+    """An automatic-parameter run builds the worst-case distribution once
+    and its closed form once per round count, not once per candidate r."""
+    calls = []
+    for name in ("worst_case_distribution", "ep_closed_form"):
+        fn = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, _fn=fn: calls.append(_fn) or _fn(*a))
+    gf, _ = cached_params(2, 2)
+    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.6))
+    cfg = make_config(2, 2, L=1_000_000, rng_seed=5)
+    rep = run_protocol(cfg, ch)
+    # every round is tried and the fallback r is searched too
+    assert not rep.aborted and rep.analytic_target_met is False
+    assert rep.ep_rounds == cfg.ep_rounds_max
+    assert len(calls) <= cfg.ep_rounds_max + 2
 
 
 def test_qer_030_completes_with_low_mismatch_rate():
