@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_field(p):
-        p.add_argument("--p", type=int, required=True, help="prime characteristic")
+        p.add_argument("--p", type=int, help="prime characteristic (required)")
         p.add_argument("--n", default="1", help="extension degree (thresholds accepts a..b)")
 
     for name in ("build-t", "verify", "classes"):
@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common])
     add_field(sim)
-    sim.add_argument("--L", type=int, required=True)
+    sim.add_argument("--L", type=int, help="transmitted particles (required)")
     sim.add_argument(
         "--channel",
-        required=True,
+        help="(required)",
         choices=("noiseless", "pauli-iid", "intercept-resend", "grouped-attack", "per-qubit-attack"),
     )
     sim.add_argument("--qer", type=float, help="pauli-iid: worst-case channel with this QER")
@@ -93,9 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     atk = sub.add_parser("attack", parents=[common])
     add_field(atk)
-    atk.add_argument("--q", type=float, required=True)
+    atk.add_argument("--q", type=float, help="attack probability (required)")
     return top
 
+
+# argparse is not told: a config file may supply these (see _check_required)
+_REQUIRED = {"build-t": ("p",), "verify": ("p",), "classes": ("p",), "thresholds": ("p",),
+             "simulate": ("p", "L", "channel"), "attack": ("p", "q")}
 
 _FLAG_KEYS = {
     "output", "format", "seed", "p", "n", "L", "channel", "qer", "q", "q_prime",
@@ -106,6 +110,15 @@ _FLAG_KEYS = {
 
 def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """After the config file merge: a usage error (exit 2) naming every
+    required option that neither argv nor the file gave."""
+    missing = [f"--{k}" for k in _REQUIRED[args.command] if getattr(args, k) is None]
+    if missing:
+        _subparsers(parser).choices[args.command].error(
+            "the following arguments are required: " + ", ".join(missing))
 
 
 def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -444,6 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             setattr(args, key, default)
     try:
         _merge_config_file(args, parser, argv)
+        _check_required(args, parser)
         seed = _resolve_seed(args)
         if args.print_effective_config:
             eff = {k: v for k, v in sorted(vars(args).items()) if k != "print_effective_config"}
@@ -452,6 +466,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         _COMMANDS[args.command](args, seed)
         return EXIT_OK
+    except SystemExit as exc:  # usage error from _check_required
+        return int(exc.code)
     except ValueError as exc:
         # ConfigError and invalid field parameters both land here
         print(f"config error: {exc}", file=sys.stderr)

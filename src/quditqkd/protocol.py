@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -130,8 +131,8 @@ def _fill(out: np.ndarray, draw) -> np.ndarray:
 
 def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.Generator):
     """Raw (pre-sift) error labels (a, b) of *count* particles, as the flat
-    label a*N + b in the smallest unsigned dtype that holds N*N - 1."""
-    channel.validate(gf)
+    label a*N + b in the smallest unsigned dtype that holds N*N - 1.  The
+    caller validates the channel."""
     N = gf.N
     dtype = np.min_scalar_type(N * N - 1)
     if channel.kind == "noiseless":
@@ -164,7 +165,6 @@ class ProtocolConfig:
     ep_rounds_max: int = 4
     ep_rounds: Optional[int] = None      # explicit round count (overrides the rule)
     pec_r: Optional[int] = None          # explicit odd repetition count
-    ledger_checks: bool = True
 
     def resolved_abort_threshold(self) -> float:
         if self.abort_threshold is not None:
@@ -224,32 +224,36 @@ class SimReport:
     post_ep_label_dist: Optional[list[float]] = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            out[k] = v
-        return out
+        return dict(self.__dict__)  # every field is a plain Python value
 
 
 # ----------------------------------------------------------------------
 # Stage operations (also exposed for direct testing)
 # ----------------------------------------------------------------------
 
-def sift(gf: GF, params: SymplecticParams, alice_powers, bob_powers, raw_a, raw_b):
-    """Keep records whose applied powers match; conjugate the raw labels
-    into the computational frame of the matching power.
+def sift(gf: GF, params: SymplecticParams, set_idx, labels):
+    """Conjugate each sifted register's flat raw label (from sample_raw_labels)
+    into the computational frame of its set's power, a block at a time.
 
-    Returns (kept_indices, set_idx, eff_a, eff_b).
+    Returns (a, b, set_sizes, post_sift_label_counts): the effective spin and
+    phase labels, the size of each set and the count of each label a*N + b.
     """
-    alice_powers = np.asarray(alice_powers)
-    bob_powers = np.asarray(bob_powers)
-    kept = np.flatnonzero(alice_powers == bob_powers)
-    set_idx = alice_powers[kept].astype(np.uint8)
+    N = gf.N
     ca, cb = conjugation_tables(gf, params)
-    eff_a = ca[set_idx, raw_a[kept], raw_b[kept]]
-    eff_b = cb[set_idx, raw_a[kept], raw_b[kept]]
-    return kept, set_idx, eff_a, eff_b
+    a, b = np.empty(set_idx.size, ca.dtype), np.empty(set_idx.size, cb.dtype)
+    raw_counts = np.zeros((N + 1) * N * N, np.intp)
+    for start in range(0, set_idx.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        # flat (set, raw a, raw b) index in the smallest dtype: the gathers make no
+        # intp copy of it, and bincount copies one block
+        idx = set_idx[blk].astype(np.min_scalar_type((N + 1) * N * N - 1))
+        idx *= N * N
+        idx += labels[blk]
+        a[blk], b[blk] = ca.ravel()[idx], cb.ravel()[idx]
+        raw_counts += np.bincount(idx, minlength=(N + 1) * N * N)
+    codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
+    counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
+    return a, b, raw_counts.reshape(N + 1, N * N).sum(axis=1), counts
 
 
 @dataclass
@@ -323,13 +327,13 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
 def _bounds_after(wc: Optional[ErrorDistribution], e00_eff: float, k: int):
     """r -> worst-case (spin, phase) residual bounds after k rounds and [r,1,r]
     voting at assumed initial rate e00_eff, or None without a worst case wc.
-    The closed form is the only r-free work, so it is built once per k."""
+    The closed form is the only r-free work, so it is built once, on first use."""
     if wc is None:
         return None
-    wck = ep_closed_form(wc, k)
+    closed = cache(lambda: ep_closed_form(wc, k))
 
     def bounds(r: int) -> tuple[float, float]:
-        b = pec_phase_bound(wck, e00_eff, k, r)
+        b = pec_phase_bound(closed(), e00_eff, k, r)
         return b.spin, b.phase
     return bounds
 
@@ -340,25 +344,37 @@ def _r_grid(limit: int) -> list[int]:
     while r <= limit:
         out.append(r)
         nxt = int(r * 1.5) + 1
-        r = nxt + 1 - nxt % 2  # next odd > r
-        if r <= out[-1]:
-            r = out[-1] + 2
+        r = nxt + 1 - nxt % 2  # next odd > r, since int(1.5 r) >= r
     return out
 
 
-def _select_r(bounds, survivors: int, epsilon_i: float):
-    """Try to certify an odd r meeting the eps_I/ell^2 target via the
-    analytic bounds.  Returns (r, spin, phase) or None."""
-    if bounds is None:
+def _choose_r(config: ProtocolConfig, bounds, survivors: int, last: bool):
+    """(r, spin bound, phase bound, analytic_target_met) for *survivors*
+    registers, or None while purification goes on.  Without an explicit round
+    or repetition count, the first grid r whose bounds meet the eps_I/ell^2
+    target ends it.  After the last round: an explicit r, else the grid r with
+    the smallest bound total, else (no bounds) the odd isqrt of the survivors."""
+    auto = config.ep_rounds is None and config.pec_r is None
+    grid = _r_grid(max(1, survivors // 2))
+    if auto and bounds is not None:
+        for r in grid:
+            if survivors < r:
+                break
+            spin, phase = bounds(r)
+            if spin + phase <= config.epsilon_i / (survivors // r) ** 2:
+                return r, spin, phase, True
+    if not last:
         return None
-    for r in _r_grid(max(1, survivors // 2)):
-        ell = survivors // r
-        if ell < 1:
-            break
-        spin, phase = bounds(r)
-        if spin + phase <= epsilon_i / ell**2:
-            return r, spin, phase
-    return None
+    met = False if auto and config.gf.p == 2 else None  # odd p has no bound to miss
+    if config.pec_r is not None:
+        r = config.pec_r
+    elif bounds is not None:
+        return min(((c, *bounds(c), met) for c in grid), key=lambda t: t[1] + t[2])
+    else:
+        # bound-free fallback: balance digit count against group size
+        r = max(1, int(math.isqrt(survivors)))
+        r += 1 - r % 2
+    return (r, *bounds(r), met) if bounds is not None else (r, None, None, met)
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +382,7 @@ def _select_r(bounds, survivors: int, epsilon_i: float):
 # ----------------------------------------------------------------------
 
 def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
+    """sift -> estimate and abort -> purification rounds -> majority vote."""
     config.validate()
     gf = config.gf
     channel.validate(gf)
@@ -379,18 +396,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     s = rng.integers(0, N, size=n_sift, dtype=np.uint8)
-    # flat (set, raw a, raw b) index in the smallest dtype: gathers make no intp copy
-    idx = set_idx.astype(np.min_scalar_type((N + 1) * N * N - 1))
-    idx *= N * N
-    idx += sample_raw_labels(channel, gf, n_sift, rng)
-    ca, cb = conjugation_tables(gf, params)
-    a, b = ca.ravel()[idx], cb.ravel()[idx]
-    raw_counts = sum((np.bincount(idx[i : i + _BLOCK], minlength=(N + 1) * N * N)
-                      for i in range(0, n_sift, _BLOCK)), np.zeros((N + 1) * N * N, np.intp))
-    del idx
-    set_sizes = raw_counts.reshape(N + 1, N * N).sum(axis=1)
-    codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
-    sift_counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
+    a, b, set_sizes, sift_counts = sift(gf, params, set_idx,
+                                        sample_raw_labels(channel, gf, n_sift, rng))
     spin_counts = sift_counts.reshape(N, N).sum(axis=1)
     sbmer = float((n_sift - spin_counts[0]) / n_sift) if n_sift else 0.0
     bits = gf.coeff_table.sum(axis=1)  # for p = 2, the bit count of each spin label
@@ -431,27 +438,16 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     a, b, s = a[keep], b[keep], s[keep]
     bob = add_t[s, a]
 
-    # -- purification rounds ---------------------------------------------
+    # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
     # residual bounds are derived for p = 2 inside the dominance region only
     analytic_ok = gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0
     wc = worst_case_distribution(gf, partition, e00_eff) if analytic_ok else None
-    auto = config.ep_rounds is None and config.pec_r is None
     rounds = config.ep_rounds if config.ep_rounds is not None else config.ep_rounds_max
-    chosen: Optional[tuple[int, float, float]] = None
     k = 0
     while True:
-        if auto:
-            bounds = _bounds_after(wc, e00_eff, k)
-            chosen = _select_r(bounds, a.size, config.epsilon_i)
-            if chosen is not None:
-                report.analytic_target_met = True
-                break
-            if k >= rounds:  # odd p has no bound to miss, so it reports null
-                report.analytic_target_met = False if gf.p == 2 else None
-                break
-        elif k >= rounds:
-            bounds = _bounds_after(wc, e00_eff, k)
+        choice = _choose_r(config, _bounds_after(wc, e00_eff, k), a.size, k == rounds)
+        if choice is not None:
             break
         if a.size < 2:
             report.aborted = True
@@ -460,30 +456,14 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         a, b, s, bob = locc2_ep_round(gf, a, b, s, bob)
         k += 1
         report.survivors_per_round.append(int(a.size))
-        if config.ledger_checks and a.size:
-            if not (bob == add_t[s, a]).all():
-                raise InvariantViolation("ledger soundness broken after purification round")
+        if a.size and not (bob == add_t[s, a]).all():
+            raise InvariantViolation("ledger soundness broken after purification round")
 
     report.ep_rounds = k
     if a.size:
         counts = np.bincount(a.astype(np.int64) * N + b.astype(np.int64), minlength=N * N)
         report.post_ep_label_dist = (counts / a.size).tolist()
-
-    # -- repetition count ------------------------------------------------
-    if config.pec_r is not None:
-        r = config.pec_r
-        if bounds is not None:
-            report.analytic_spin_bound, report.analytic_phase_bound = bounds(r)
-    elif chosen is not None:
-        r, report.analytic_spin_bound, report.analytic_phase_bound = chosen
-    elif bounds is not None:
-        # no certified r: take the one with the smallest bound total
-        r, report.analytic_spin_bound, report.analytic_phase_bound = min(
-            ((c, *bounds(c)) for c in _r_grid(max(1, a.size // 2))), key=lambda t: t[1] + t[2])
-    else:
-        # bound-free fallback: balance digit count against group size
-        r = max(1, int(math.isqrt(a.size)))
-        r += 1 - r % 2
+    r, report.analytic_spin_bound, report.analytic_phase_bound, report.analytic_target_met = choice
     if r > a.size:
         report.aborted = True
         report.abort_reason = f"repetition count {r} exceeds the {a.size} remaining registers"
@@ -495,9 +475,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     pec = pec_majority(gf, a, b, s, bob, r)
     ell = pec["alice_key"].size
     mism = pec["alice_key"] != pec["bob_key"]
-    if config.ledger_checks:
-        if not (mism == (pec["spin_sums"] != 0)).all():
-            raise InvariantViolation("key mismatches inconsistent with the spin ledger")
+    if not (mism == (pec["spin_sums"] != 0)).all():
+        raise InvariantViolation("key mismatches inconsistent with the spin ledger")
     report.key_length = int(ell)
     report.key_mismatch_count = int(mism.sum())
     report.keys_match = report.key_mismatch_count == 0

@@ -58,10 +58,9 @@ class ErrorDistribution:
                 if max(vals) - min(vals) > 1e-12:
                     raise ValueError("class symmetry violated on a fresh distribution")
         # central symmetry holds for fresh and EP-evolved alike
-        for a in gf.elements():
-            for b in gf.elements():
-                if abs(self.rates[a, b] - self.rates[gf.neg(a), gf.neg(b)]) > 1e-12:
-                    raise ValueError("central symmetry e_ab = e_{-a,-b} violated")
+        neg = (-gf.coeff_table % gf.p) @ gf.basis
+        if (np.abs(self.rates - self.rates[np.ix_(neg, neg)]) > 1e-12).any():
+            raise ValueError("central symmetry e_ab = e_{-a,-b} violated")
 
     @property
     def e00(self) -> float:
@@ -135,10 +134,9 @@ def ep_step(d: ErrorDistribution) -> ErrorDistribution:
 
 def _character_matrix(gf: GF) -> np.ndarray:
     """W[m, j] = omega_p^(m . j) with the digit dot product mod p."""
-    N, p, n = gf.N, gf.p, gf.n
-    digits = np.array([gf.to_coeffs(a) for a in range(N)])  # (N, n)
-    dots = (digits @ digits.T) % p
-    return np.exp(2j * np.pi / p) ** dots
+    digits = gf.coeff_table  # (N, n)
+    dots = (digits @ digits.T) % gf.p
+    return np.exp(2j * np.pi / gf.p) ** dots
 
 
 def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -149,6 +150,37 @@ def test_trial_bounds_are_pinned(tmp_path):
     assert [tuple(t[k] for k in keys) for t in trials] == PINNED_TRIAL_BOUNDS
 
 
+# md5 of json.dumps(result, sort_keys=True) and (pec_r, ep_rounds,
+# analytic_target_met) for one run down each repetition-count path, recorded
+# before the protocol stages were split out of run_protocol
+PINNED_REPORTS = {
+    "first certified r": (
+        "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
+        "955b32301755418963abe7d091e1ff94", (53, 3, True)),
+    "explicit rounds, smallest bound": (
+        "--p 2 --n 3 --L 2000000 --channel pauli-iid --qer 0.3 --ep-rounds 2 --seed 4",
+        "266eb022f9fdd8bf980458bae57dc9f9", (35, 2, None)),
+    "explicit r": (
+        "--p 2 --n 2 --L 2000000 --channel intercept-resend --q 0.2 --pec-r 7 --seed 4",
+        "23499dea35cae2764d7c78fd65181896", (7, 4, None)),
+    "odd p, bound-free r": (
+        "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
+        "07a463f5995e5b65984c2db992934e49", (53, 4, None)),
+    "automatic, smallest bound": (
+        "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
+        "f39707c7811555b6a1493949169b7cd7", (2129, 4, False)),
+}
+
+
+@pytest.mark.parametrize("path", PINNED_REPORTS)
+def test_whole_report_is_pinned(capsys, path):
+    argv, digest, headline = PINNED_REPORTS[path]
+    assert cli.main(["simulate", *argv.split()]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert (res["pec_r"], res["ep_rounds"], res["analytic_target_met"]) == headline
+    assert hashlib.md5(json.dumps(res, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     # no residual bound is derived for odd p: nothing is certified, every
     # round runs and r is the bound-free isqrt of the survivors, made odd
@@ -231,6 +263,35 @@ def test_config_file_merge_and_override(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["L"] == 30000  # flag overrides file
     assert doc["seed"] == 5  # file fills the seed
+
+
+@pytest.mark.parametrize("command", [["simulate", "--seed", "1"], ["verify"]])
+def test_required_options_from_config_file(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 2, "n": 2, "L": 100000, "channel": "noiseless"}))
+    assert cli.main([*command, "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["field"]["N"] == 4
+    if command[0] == "simulate":
+        assert doc["config"]["L"] == 100000 and doc["result"]["keys_match"]
+        # a flag still wins over the file
+        assert cli.main([*command, "--config", str(cfg), "--L", "20000"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["L"] == 20000
+
+
+@pytest.mark.parametrize("command,file,missing", [
+    (["simulate", "--seed", "1"], {"p": 2}, "--L, --channel"),
+    (["simulate", "--seed", "1", "--L", "1000"], {"channel": "noiseless"}, "--p"),
+    (["verify"], {"n": 2}, "--p"),
+    (["attack", "--p", "2"], {}, "--q"),
+], ids=["simulate-L-channel", "simulate-p", "verify-p", "attack-q"])
+def test_required_option_missing_from_flags_and_file_is_a_usage_error(
+        tmp_path, capsys, command, file, missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file))
+    assert cli.main([*command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.endswith(f"the following arguments are required: {missing}\n")
+    assert cli.main(command) == 2
 
 
 @pytest.mark.parametrize("flag", [["--delta", "0.02"], ["--del", "0.02"], ["--delta=0.02"]])

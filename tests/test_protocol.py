@@ -20,6 +20,7 @@ from quditqkd.protocol import (
     sift,
 )
 from quditqkd.rates import ep_step, worst_case_distribution
+from quditqkd.toperator import conjugation_tables
 
 
 def make_config(p, n, **kw):
@@ -68,17 +69,20 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
     assert (lab == np.random.default_rng(3).choice(N * N, 50_000, p=ch.label_rates.ravel())).all()
     cfg = make_config(p, n, L=200_000, rng_seed=9, abort_threshold=0.5)
     rep = run_protocol(cfg, ch)
-    # replay run_protocol's draws and sift them with split (a, b) labels
+    # replay run_protocol's draws; sift them and look each label up one by one
     rng = np.random.default_rng(9)
     n_sift = int(rng.binomial(cfg.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     rng.integers(0, N, size=n_sift, dtype=np.uint8)  # key digits
-    lab = rng.choice(N * N, size=n_sift, p=ch.label_rates.ravel())
-    _, _, eff_a, eff_b = sift(gf, params, set_idx, set_idx, lab // N, lab % N)
+    lab = sample_raw_labels(ch, gf, n_sift, rng)
+    eff_a, eff_b, set_sizes, counts = sift(gf, params, set_idx, lab)
+    ca, cb = conjugation_tables(gf, params)
+    assert (eff_a == ca[set_idx, lab // N, lab % N]).all()
+    assert (eff_b == cb[set_idx, lab // N, lab % N]).all()
     assert rep.n_sifted == n_sift
-    assert rep.set_sizes == np.bincount(set_idx, minlength=N + 1).tolist()
-    counts = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
-    assert rep.post_sift_label_counts == counts.tolist()
+    assert rep.set_sizes == set_sizes.tolist() == np.bincount(set_idx, minlength=N + 1).tolist()
+    want = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
+    assert rep.post_sift_label_counts == counts.tolist() == want.tolist()
 
 
 def test_grouped_attack_requires_p2():
@@ -102,21 +106,16 @@ def test_sift_all_matching_powers():
     n = 1000
     powers = np.full(n, 2, dtype=np.uint8)
     raw = np.zeros(n, dtype=np.uint8)
-    kept, set_idx, eff_a, eff_b = sift(gf, params, powers, powers, raw, raw)
-    assert kept.size == n and (set_idx == 2).all()
+    eff_a, eff_b, set_sizes, _ = sift(gf, params, powers, raw * gf.N + raw)
+    assert eff_a.size == n and set_sizes.tolist() == [0, 0, n]
     assert not eff_a.any() and not eff_b.any()
 
 
 def test_sift_retention_statistics():
-    gf, params = cached_params(2, 1)
-    rng = np.random.default_rng(77)
+    # each of the N + 1 sets keeps a 1/(N+1)^2 share of the transmissions
     L = 100_000
-    ap = rng.integers(0, 3, L, dtype=np.uint8)
-    bp = rng.integers(0, 3, L, dtype=np.uint8)
-    raw = np.zeros(L, dtype=np.uint8)
-    kept, set_idx, _, _ = sift(gf, params, ap, bp, raw, raw)
-    for i in range(3):
-        count = int((set_idx == i).sum())
+    rep = run_protocol(make_config(2, 1, L=L, rng_seed=77), ChannelModel.noiseless())
+    for count in rep.set_sizes:
         sigma = np.sqrt(L * (1 / 9) * (8 / 9))
         assert abs(count - L / 9) < 3 * sigma
 
@@ -126,10 +125,10 @@ def test_sift_conjugates_labels():
     # every set whose power moves the standard basis
     gf, params = cached_params(2, 1)
     n = 9
-    ap = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)
+    set_idx = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)
     raw_a = np.zeros(n, dtype=np.uint8)
     raw_b = np.array([0, 1, 1, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-    _, set_idx, eff_a, _ = sift(gf, params, ap, ap, raw_a, raw_b)
+    eff_a, _, _, _ = sift(gf, params, set_idx, raw_a * gf.N + raw_b)
     assert not eff_a[set_idx == 0].any()
     assert (eff_a[(set_idx != 0) & (raw_b != 0)] != 0).all()
 
@@ -417,17 +416,25 @@ def test_peak_memory_per_sifted_register():
     assert peak / rep.n_sifted <= 18.0
 
 
-@pytest.mark.parametrize("kind", ["pauli-iid", "grouped-qubit-attack"])
-def test_block_size_leaves_reports_unchanged(monkeypatch, kind):
-    # blocked twirl draws and blocked sift counts keep every field
-    gf, _ = cached_params(2, 2)
+@pytest.mark.parametrize("p,n,kind,block", [
+    pytest.param(2, 2, "pauli-iid", 997, id="pauli-iid"),
+    pytest.param(2, 2, "grouped-qubit-attack", 997, id="grouped-qubit-attack"),
+    pytest.param(2, 2, "pauli-iid", 7, id="pauli-iid-block-7"),
+    pytest.param(2, 2, "grouped-qubit-attack", 7, id="grouped-qubit-attack-block-7"),
+    # N = 17 draws uint16 flat labels
+    pytest.param(17, 1, "pauli-iid", 997, id="pauli-iid-N17"),
+    pytest.param(17, 1, "pauli-iid", 7, id="pauli-iid-N17-block-7"),
+])
+def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
+    # blocked twirl draws and the blocked sift keep every field
+    gf, _ = cached_params(p, n)
     if kind == "pauli-iid":
-        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.8))
+        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), 0.8))
     else:
         ch = ChannelModel.grouped_qubit_attack(0.3)
-    cfg = make_config(2, 2, L=50_000, ep_rounds=1, pec_r=5)
+    cfg = make_config(p, n, L=50_000, ep_rounds=1, pec_r=5, abort_threshold=None if p == 2 else 0.5)
     want = run_protocol(cfg, ch).to_dict()
-    monkeypatch.setattr(protocol, "_BLOCK", 997)
+    monkeypatch.setattr(protocol, "_BLOCK", block)
     assert run_protocol(cfg, ch).to_dict() == want
 
 

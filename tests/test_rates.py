@@ -77,6 +77,23 @@ def test_rejects_class_asymmetry():
         ErrorDistribution(gf, rates, partition=cached_partition(2, 1))
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_central_symmetry_checked_against_scalar_negation(p, n):
+    # move mass between (a, b) and (-a, -b): 2e-12 apart is rejected, 5e-13 is not
+    gf, _ = cached_params(p, n)
+    rates = np.full((gf.N, gf.N), 1.0 / gf.N**2)
+    a, b = 1, gf.N - 1
+    for shift, bad in [(1e-12, True), (2.5e-13, False)]:
+        moved = rates.copy()
+        moved[a, b] += shift
+        moved[gf.neg(a), gf.neg(b)] -= shift
+        if bad:
+            with pytest.raises(ValueError, match="central symmetry"):
+                ErrorDistribution(gf, moved, ep_evolved=True)
+        else:
+            ErrorDistribution(gf, moved, ep_evolved=True)
+
+
 # ---------------------------------------------------------------
 # purification recursion
 # ---------------------------------------------------------------
