@@ -14,6 +14,14 @@ Only sifted particles are materialized: the sifted count is drawn as a
 Binomial(L, 1/(N+1)) and set indices uniformly, which has exactly the
 law of simulating all L transmissions and discarding the mismatches.
 
+run_protocol calls the stages in order, on plain arrays; the first three
+walk the pool _BLOCK registers at a time.  sample_raw_labels draws the
+flat raw labels; sift conjugates them into (a, b), sets Bob's value s + a
+and counts each set per block; estimate_qer sacrifices the test picks and
+removes them from (a, b, s, bob) in place, leaving the untested registers
+packed at the front; locc2_ep_round runs once per purification round;
+pec_majority extracts the key digits.
+
 No stage shuffles the pool.  Every channel is i.i.d. per particle, and
 testing takes uniform picks from each set blind to labels, so the
 untested pool is exchangeable; pairing adjacent registers (purification)
@@ -142,10 +150,9 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
         return _fill(np.empty(count, dtype), lambda m: rng.choice(N * N, size=m, p=p))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
-    measured = _fill(np.empty(count, dtype=bool), lambda m: rng.random(m) < q)
-    c = rng.integers(0, N, size=count, dtype=np.uint8)
-    c *= measured
-    return c.astype(dtype, copy=False)
+    out = _fill(np.empty(count, dtype), lambda m: rng.random(m) < q)  # 1 where measured
+    out *= rng.integers(0, N, size=count, dtype=np.uint8)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -231,29 +238,49 @@ class SimReport:
 # Stage operations (also exposed for direct testing)
 # ----------------------------------------------------------------------
 
-def sift(gf: GF, params: SymplecticParams, set_idx, labels):
-    """Conjugate each sifted register's flat raw label (from sample_raw_labels)
-    into the computational frame of its set's power, a block at a time.
+def _gf_add(gf: GF, x, y, out=None, idx=None):
+    """x + y over GF(N) as one flat lookup of the uint8 add table at x*N + y,
+    built in the intp buffer *idx* (a new one if None).  Every index is in
+    range by construction, and mode="clip" writes to out unbuffered."""
+    idx = np.empty(x.size, np.intp) if idx is None else idx
+    idx[...] = x
+    idx *= gf.N
+    idx += y
+    return np.take(gf.add_table.astype(np.uint8).ravel(), idx, out=out, mode="clip")
 
-    Returns (a, b, set_sizes, post_sift_label_counts): the effective spin and
-    phase labels, the size of each set and the count of each label a*N + b.
+
+def sift(gf: GF, params: SymplecticParams, set_idx, labels, s):
+    """Conjugate each sifted register's flat raw label (from sample_raw_labels)
+    into the computational frame of its set's power and set Bob's value
+    s + a, a block at a time.
+
+    Returns (a, b, bob, block_sizes, post_sift_label_counts): the effective
+    spin and phase labels, Bob's value, the size of each set within each
+    _BLOCK of the pool (shape (blocks, N+1); the column sums are the set
+    sizes) and the count of each label a*N + b.
     """
     N = gf.N
     ca, cb = conjugation_tables(gf, params)
-    a, b = np.empty(set_idx.size, ca.dtype), np.empty(set_idx.size, cb.dtype)
+    a, b, bob = (np.empty(set_idx.size, np.uint8) for _ in range(3))
     raw_counts = np.zeros((N + 1) * N * N, np.intp)
-    for start in range(0, set_idx.size, _BLOCK):
+    block_sizes = np.empty((-(-set_idx.size // _BLOCK), N + 1), np.intp)
+    # one intp index buffer, so neither np.take nor bincount copies an index
+    buf = np.empty(min(_BLOCK, set_idx.size), np.intp)
+    for j, start in enumerate(range(0, set_idx.size, _BLOCK)):
         blk = slice(start, start + _BLOCK)
-        # flat (set, raw a, raw b) index in the smallest dtype: the gathers make no
-        # intp copy of it, and bincount copies one block
-        idx = set_idx[blk].astype(np.min_scalar_type((N + 1) * N * N - 1))
+        idx = buf[: set_idx[blk].size]
+        idx[...] = set_idx[blk]  # flat (set, raw a, raw b) index
         idx *= N * N
         idx += labels[blk]
-        a[blk], b[blk] = ca.ravel()[idx], cb.ravel()[idx]
-        raw_counts += np.bincount(idx, minlength=(N + 1) * N * N)
+        np.take(ca.ravel(), idx, out=a[blk], mode="clip")
+        np.take(cb.ravel(), idx, out=b[blk], mode="clip")
+        cnt = np.bincount(idx, minlength=(N + 1) * N * N)
+        block_sizes[j] = cnt.reshape(N + 1, N * N).sum(axis=1)
+        raw_counts += cnt
+        _gf_add(gf, s[blk], a[blk], out=bob[blk], idx=idx)
     codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
     counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
-    return a, b, raw_counts.reshape(N + 1, N * N).sum(axis=1), counts
+    return a, b, bob, block_sizes, counts
 
 
 @dataclass
@@ -261,37 +288,56 @@ class EstimateResult:
     e_hats: list[float]
     qer_estimate: float
     abort_reason: Optional[str]
-    tested_mask: Optional[np.ndarray]
+    kept: int  # untested registers, packed at the front of the pool
 
 
-def estimate_qer(gf: GF, set_idx, set_sizes, eff_a, test_counts, abort_threshold: float,
+def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshold: float,
                  rng: np.random.Generator) -> EstimateResult:
     """Sacrifice test_counts[i] uniformly random members of each set,
     estimate the per-set disagreement rates and the QER upper bound.
-    Set sizes are random, so a set smaller than its test count aborts."""
+    Set sizes are random, so a set smaller than its test count aborts.
+
+    *pool* is (a, b, s, bob) from sift; the tested registers are removed
+    from all four arrays in place, keeping pool order, and the first
+    EstimateResult.kept entries of each are the untested registers.
+    """
     picks = []
-    for i, (size, want) in enumerate(zip(set_sizes.tolist(), test_counts.tolist())):
+    for i, (size, want) in enumerate(zip(block_sizes.sum(axis=0).tolist(), test_counts.tolist())):
         if size < want:
-            return EstimateResult([], 0.0, f"set {i} holds {size} particles, cannot test {want}", None)
+            return EstimateResult([], 0.0, f"set {i} holds {size} particles, cannot test {want}", 0)
         picks.append(rng.choice(size, size=want, replace=False))
-    # walk the pool in blocks; a stable argsort of a block lists its
-    # members set by set, so a pick's rank within the block locates it
-    owner, ranks = np.repeat(np.arange(gf.N + 1), test_counts), np.concatenate(picks)
-    pos = np.empty(ranks.size, dtype=np.intp)
-    for start in range(0, set_idx.size, _BLOCK):
-        blk = set_idx[start : start + _BLOCK]
-        cnt = np.bincount(blk, minlength=gf.N + 1)
-        hit = np.flatnonzero((ranks >= 0) & (ranks < cnt[owner]))
-        first = (np.cumsum(cnt) - cnt)[owner[hit]]  # where each set starts in the sort
-        pos[hit] = start + np.argsort(blk, kind="stable")[first + ranks[hit]]
-        ranks -= cnt[owner]
-    tested = np.zeros(set_idx.size, dtype=bool)
-    tested[pos] = True
-    e_hats = (np.bincount(owner, eff_a[pos] != 0, gf.N + 1) / test_counts).tolist()
+    # a pick's rank within its set locates its block on the set's cumulative
+    # block sizes, and then its rank among that block's members of the set
+    owner = np.repeat(np.arange(gf.N + 1), test_counts)
+    ends = np.cumsum(block_sizes, axis=0)
+    starts = ends - block_sizes
+    blocks = [np.searchsorted(ends[:, i], r, side="right") for i, r in enumerate(picks)]
+    ranks = np.concatenate([r - starts[j, i] for i, (r, j) in enumerate(zip(picks, blocks))])
+    # picks grouped block by block (a small dtype argsorts by radix)
+    blocks = np.concatenate(blocks).astype(np.min_scalar_type(len(block_sizes)))
+    by_block = np.argsort(blocks, kind="stable")
+    bounds = np.searchsorted(blocks[by_block], np.arange(len(block_sizes) + 1))
+    errors = np.empty(ranks.size, dtype=bool)
+    a, kept = pool[0], 0
+    for j, start in enumerate(range(0, set_idx.size, _BLOCK)):
+        blk, m = slice(start, start + _BLOCK), min(_BLOCK, set_idx.size - start)
+        hit = by_block[bounds[j] : bounds[j + 1]]
+        keep = slice(None)
+        if hit.size:
+            # a stable argsort of the block lists its members set by set
+            first = np.cumsum(block_sizes[j]) - block_sizes[j]
+            pos = np.argsort(set_idx[blk], kind="stable")[first[owner[hit]] + ranks[hit]]
+            errors[hit] = a[blk][pos] != 0
+            keep = np.ones(m, dtype=bool)
+            keep[pos] = False
+        for v in pool:
+            v[kept : kept + m - hit.size] = v[blk][keep]
+        kept += m - hit.size
+    e_hats = (np.bincount(owner, errors, gf.N + 1) / test_counts).tolist()
     est = qer_estimator(e_hats)
     reason = (f"estimated QER {est:.4f} exceeds threshold {abort_threshold:.4f}"
               if est > abort_threshold else None)
-    return EstimateResult(e_hats, est, reason, tested)
+    return EstimateResult(e_hats, est, reason, kept)
 
 
 def locc2_ep_round(gf: GF, a, b, s, bob):
@@ -390,14 +436,14 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     params = choose_M(gf, find_char_poly(gf))
     partition = equiv_classes(gf, params)
     rng = np.random.default_rng(config.rng_seed)
-    add_t = gf.add_table.astype(np.uint8)
 
     # -- transmission + sift (law-equivalent subsampling of matches) ----
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     s = rng.integers(0, N, size=n_sift, dtype=np.uint8)
-    a, b, set_sizes, sift_counts = sift(gf, params, set_idx,
-                                        sample_raw_labels(channel, gf, n_sift, rng))
+    a, b, bob, block_sizes, sift_counts = sift(gf, params, set_idx,
+                                               sample_raw_labels(channel, gf, n_sift, rng), s)
+    set_sizes = block_sizes.sum(axis=0)
     spin_counts = sift_counts.reshape(N, N).sum(axis=1)
     sbmer = float((n_sift - spin_counts[0]) / n_sift) if n_sift else 0.0
     bits = gf.coeff_table.sum(axis=1)  # for p = 2, the bit count of each spin label
@@ -425,7 +471,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         test_counts = np.floor(set_sizes * config.test_fraction).astype(int)
         test_counts = np.maximum(test_counts, 1)
     threshold = config.resolved_abort_threshold()
-    est = estimate_qer(gf, set_idx, set_sizes, a, test_counts, threshold, rng)
+    est = estimate_qer(gf, set_idx, block_sizes, (a, b, s, bob), test_counts, threshold, rng)
     del set_idx
     report.e_hats = est.e_hats
     report.qer_estimate = est.qer_estimate
@@ -434,9 +480,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         report.abort_reason = est.abort_reason
         return report
 
-    keep = ~est.tested_mask
-    a, b, s = a[keep], b[keep], s[keep]
-    bob = add_t[s, a]
+    a, b, s, bob = (v[: est.kept] for v in (a, b, s, bob))
 
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
@@ -455,11 +499,11 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
             return report
         a, b, s, bob = locc2_ep_round(gf, a, b, s, bob)
         k += 1
+        report.ep_rounds = k
         report.survivors_per_round.append(int(a.size))
-        if a.size and not (bob == add_t[s, a]).all():
+        if a.size and not (bob == _gf_add(gf, s, a)).all():
             raise InvariantViolation("ledger soundness broken after purification round")
 
-    report.ep_rounds = k
     if a.size:
         counts = np.bincount(a.astype(np.int64) * N + b.astype(np.int64), minlength=N * N)
         report.post_ep_label_dist = (counts / a.size).tolist()

@@ -333,8 +333,8 @@ def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
     """Construct T from the closure coefficients; the result must pass
     unitarity, the conjugation relation for every label, and the order
     check before it is returned."""
-    if gf.N > 32:
-        raise ValueError("T construction is supported for N <= 32")
+    if gf.N > 64:
+        raise ValueError("T construction is supported for N <= 64")
     f_table = _f_table(gf, params)
     lam = _coeffs_closure(gf, params, f_table)
     T = _assemble(gf, lam)

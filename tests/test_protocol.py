@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -73,13 +74,15 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
     rng = np.random.default_rng(9)
     n_sift = int(rng.binomial(cfg.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
-    rng.integers(0, N, size=n_sift, dtype=np.uint8)  # key digits
+    s = rng.integers(0, N, size=n_sift, dtype=np.uint8)  # key digits
     lab = sample_raw_labels(ch, gf, n_sift, rng)
-    eff_a, eff_b, set_sizes, counts = sift(gf, params, set_idx, lab)
+    eff_a, eff_b, bob, block_sizes, counts = sift(gf, params, set_idx, lab, s)
     ca, cb = conjugation_tables(gf, params)
     assert (eff_a == ca[set_idx, lab // N, lab % N]).all()
     assert (eff_b == cb[set_idx, lab // N, lab % N]).all()
+    assert (bob == gf.add_table[s, eff_a]).all()
     assert rep.n_sifted == n_sift
+    set_sizes = block_sizes.sum(axis=0)
     assert rep.set_sizes == set_sizes.tolist() == np.bincount(set_idx, minlength=N + 1).tolist()
     want = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
     assert rep.post_sift_label_counts == counts.tolist() == want.tolist()
@@ -106,9 +109,11 @@ def test_sift_all_matching_powers():
     n = 1000
     powers = np.full(n, 2, dtype=np.uint8)
     raw = np.zeros(n, dtype=np.uint8)
-    eff_a, eff_b, set_sizes, _ = sift(gf, params, powers, raw * gf.N + raw)
-    assert eff_a.size == n and set_sizes.tolist() == [0, 0, n]
+    s = np.arange(n, dtype=np.uint8) % gf.N
+    eff_a, eff_b, bob, block_sizes, _ = sift(gf, params, powers, raw * gf.N + raw, s)
+    assert eff_a.size == n and block_sizes.sum(axis=0).tolist() == [0, 0, n]
     assert not eff_a.any() and not eff_b.any()
+    assert (bob == s).all()
 
 
 def test_sift_retention_statistics():
@@ -128,7 +133,7 @@ def test_sift_conjugates_labels():
     set_idx = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)
     raw_a = np.zeros(n, dtype=np.uint8)
     raw_b = np.array([0, 1, 1, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-    eff_a, _, _, _ = sift(gf, params, set_idx, raw_a * gf.N + raw_b)
+    eff_a, _, _, _, _ = sift(gf, params, set_idx, raw_a * gf.N + raw_b, np.zeros(n, np.uint8))
     assert not eff_a[set_idx == 0].any()
     assert (eff_a[(set_idx != 0) & (raw_b != 0)] != 0).all()
 
@@ -160,14 +165,20 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
     k = np.arange(n)
     set_idx[np.isin(k % 7, (0, 6)) | np.isin(k % 64, (0, 63)) | (k == n - 1)] = 2
     eff_a = rng.integers(0, 4, n, dtype=np.uint8)
+    pool = (eff_a, *rng.integers(0, 4, (3, n), dtype=np.uint8))  # (a, b, s, bob)
+    want_pool = [v.copy() for v in pool]
     sizes = np.bincount(set_idx, minlength=5)
     test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
+    block_sizes = np.array([np.bincount(set_idx[i : i + block], minlength=5)
+                            for i in range(0, n, block)])
     monkeypatch.setattr(protocol, "_BLOCK", block)
-    est = estimate_qer(gf, set_idx, sizes, eff_a, test_counts, 0.9, np.random.default_rng(5))
     tested, e_hats = estimate_reference(set_idx, eff_a, test_counts, np.random.default_rng(5))
-    assert (est.tested_mask == tested).all()
+    est = estimate_qer(gf, set_idx, block_sizes, pool, test_counts, 0.9, np.random.default_rng(5))
+    assert est.kept == n - test_counts.sum()
+    for v, want in zip(pool, want_pool):
+        assert (v[: est.kept] == want[~tested]).all()
     assert est.e_hats == e_hats
-    assert est.tested_mask[[0, 6, 7, 63, 64, n - 1]].all()
+    assert tested[[0, 6, 7, 63, 64, n - 1]].all()
 
 
 def test_undersized_set_aborts_the_run():
@@ -180,6 +191,15 @@ def test_undersized_set_aborts_the_run():
                        ChannelModel.noiseless())
     assert rep.aborted and rep.abort_reason.startswith("set 0 holds ")
     assert rep.abort_reason.endswith(" particles, cannot test 2000")
+
+
+def test_exhausted_pool_reports_the_rounds_run():
+    cfg = make_config(2, 2, L=60, rng_seed=0, test_fraction=None, test_count=1,
+                      abort_threshold=0.9, ep_rounds=4)
+    rep = run_protocol(cfg, ChannelModel.intercept_resend(0.5))
+    assert rep.aborted and rep.abort_reason == "register pool exhausted during purification"
+    assert rep.survivors_per_round == [3, 1]
+    assert rep.ep_rounds == 2
 
 
 # Pre-purification fields of two fixed-seed runs, recorded from the
@@ -400,12 +420,26 @@ def test_adjacent_pairing_matches_recursion_across_seeds():
     assert label_stat < chi2.ppf(0.999, cells.sum() - 1)
 
 
-def test_peak_memory_per_sifted_register():
-    # traced (NumPy-reported) peak of one N=16 grouped-attack run
+def n16_grouped_attack_config():
+    """N=16, L=1.5e7 grouped attack: about 3.4 blocks of sifted registers."""
     gf, _ = cached_params(2, 4)
     L = 15_000_000
-    cfg = ProtocolConfig(gf=gf, L=L, rng_seed=3, test_count=int(0.01 * L / 289),
-                         delta=0.0065, ep_rounds=4, pec_r=25)
+    return ProtocolConfig(gf=gf, L=L, rng_seed=3, test_count=int(0.01 * L / 289),
+                          delta=0.0065, ep_rounds=4, pec_r=25)
+
+
+def test_multi_block_report_is_pinned():
+    # the pinned CLI reports fit in one or two blocks at N <= 8
+    rep = run_protocol(n16_grouped_attack_config(), ChannelModel.grouped_qubit_attack(0.84))
+    assert rep.n_sifted > 3 * protocol._BLOCK
+    assert rep.survivors_per_round == [45208, 9675, 4623, 2310] and rep.key_length == 92
+    digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "6bfa8726ec314d90e0c6a61387e2fd09"
+
+
+def test_peak_memory_per_sifted_register():
+    # traced (NumPy-reported) peak of one N=16 grouped-attack run
+    cfg = n16_grouped_attack_config()
     tracemalloc.start()
     try:
         rep = run_protocol(cfg, ChannelModel.grouped_qubit_attack(0.84))

@@ -144,7 +144,7 @@ def test_verification_suite(p, n):
     assert rep.all_ok
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5)])
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
 def test_verification_suite_beyond_sixteen(p, n):
     rep = verify_T(make_t_operator(make_field(p, n)))
     assert rep.all_ok
@@ -154,8 +154,8 @@ def test_verification_suite_beyond_sixteen(p, n):
 
 
 def test_build_rejects_fields_above_cap():
-    with pytest.raises(ValueError, match="N <= 32"):
-        build_T(make_field(37, 1), SymplecticParams(0, 0, 0, 0))
+    with pytest.raises(ValueError, match="N <= 64"):
+        build_T(make_field(67, 1), SymplecticParams(0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("p,n", PRIME_POWERS)
