@@ -10,7 +10,7 @@ eavesdropping attacks.
 __version__ = "0.1.0"
 
 from .exceptions import ConfigError, InvariantViolation
-from .fields import GF, make_field, make_quadratic_extension
+from .fields import GF, make_field
 from .pauli import PauliLabel, bell_state, pauli_compose, pauli_matrix, projector_standard_diff
 from .protocol import (
     ChannelModel,
@@ -57,7 +57,6 @@ from .toperator import (
 __all__ = [
     "GF",
     "make_field",
-    "make_quadratic_extension",
     "PauliLabel",
     "pauli_matrix",
     "pauli_compose",

@@ -23,12 +23,13 @@ def ep_round(a, b, s, bob, add_t):
 
 
 # Field addition adds base-p digits mod p: sum each digit over a group.
-def group_sums(v, ell, r, gf):
+def group_sums(v, gf):
     sums = gf.coeff_table.astype(np.uint8)[v].sum(axis=1, dtype=np.intp) % gf.p
     return (sums @ np.array(gf.basis)).astype(v.dtype)
 
 
-def plurality(v, ell, r, N):
+def plurality(v, N):
+    ell = v.shape[0]
     flat = (np.arange(ell)[:, None] * N + v).ravel()
     counts = np.bincount(flat, minlength=ell * N).reshape(ell, N)
     # prefer higher count, then symbol 0, then the smaller symbol

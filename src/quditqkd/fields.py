@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^n) and its quadratic extension.
+"""Exact arithmetic in the finite field GF(p^n).
 
 Field elements are represented as plain integers in ``[0, p^n)`` whose
 base-p digits are the coefficients of the residue polynomial, least
@@ -307,17 +307,6 @@ class GF:
                 return b
         return None  # unreachable for residues
 
-    def mult_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.N - 1
-        for q in _prime_divisors(self.N - 1):
-            while order % q == 0 and self.pow(a, order // q) == 1:
-                order //= q
-        return order
-
     # -- tables (lazy; used by the numeric kernels) ----------------------
 
     @property
@@ -390,45 +379,3 @@ def make_field(p: int, n: int) -> GF:
     """Construct (and cache) GF(p^n) with the deterministic modulus."""
     return GF(p, n)
 
-
-def make_quadratic_extension(gf: GF) -> tuple[GF, tuple[int, ...]]:
-    """GF(p^2n) together with the embedding of *gf* into it.
-
-    Returns ``(ext, embed)`` where ``embed[a]`` is the image of element
-    *a*.  The embedding sends the generator x of *gf* to the smallest
-    root of gf's modulus inside the canonical GF(p^2n), so it is a ring
-    homomorphism and deterministic.
-    """
-    if gf.N**2 > MAX_FIELD_SIZE:
-        raise ValueError(f"quadratic extension of GF({gf.N}) exceeds the size cap")
-    ext = make_field(gf.p, 2 * gf.n)
-
-    # Enumerate the subfield of order gf.N as powers of h = g^((N^2-1)/(N-1))
-    # for a multiplicative generator g, then locate a root of gf.modulus.
-    g = next(a for a in range(2, ext.N) if ext.mult_order(a) == ext.N - 1)
-    h = ext.pow(g, (ext.N - 1) // (gf.N - 1))
-    subfield = [0, 1]
-    t = h
-    while t != 1:
-        subfield.append(t)
-        t = ext.mul(t, h)
-
-    def eval_modulus(z: int) -> int:
-        acc = 0
-        for c in reversed(gf.modulus):
-            acc = ext.add(ext.mul(acc, z), ext.scalar_mul(c, 1))
-        return acc
-
-    roots = sorted(z for z in subfield if eval_modulus(z) == 0)
-    if not roots:
-        raise AssertionError("modulus has no root in the quadratic extension")
-    r = roots[0]
-
-    embed = []
-    for a in range(gf.N):
-        acc, rp = 0, 1
-        for c in gf.to_coeffs(a):
-            acc = ext.add(acc, ext.scalar_mul(c, rp))
-            rp = ext.mul(rp, r)
-        embed.append(acc)
-    return ext, tuple(embed)

@@ -359,10 +359,10 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
     ell = a.size // r
     grp = lambda v: v[: ell * r].reshape(ell, r)
     return {
-        "alice_key": _kernels.group_sums(grp(s), ell, r, gf),
-        "bob_key": _kernels.group_sums(grp(bob), ell, r, gf),
-        "spin_sums": _kernels.group_sums(grp(a), ell, r, gf),
-        "phase_votes": _kernels.plurality(grp(b), ell, r, gf.N),
+        "alice_key": _kernels.group_sums(grp(s), gf),
+        "bob_key": _kernels.group_sums(grp(bob), gf),
+        "spin_sums": _kernels.group_sums(grp(a), gf),
+        "phase_votes": _kernels.plurality(grp(b), gf.N),
     }
 
 

@@ -111,15 +111,11 @@ def worst_case_distribution(gf: GF, partition, e00: float) -> ErrorDistribution:
 # LOCC2 entanglement-purification recursion
 # ----------------------------------------------------------------------
 
-def _sub_table(gf: GF) -> np.ndarray:
-    return np.asarray(gf.sub_table, dtype=np.intp)
-
-
 def ep_step(d: ErrorDistribution) -> ErrorDistribution:
     """One purification round: row-wise self-convolution over the phase
     index, renormalized by the survival probability sum_i (sum_j e_ij)^2."""
     gf = d.gf
-    sub = _sub_table(gf)
+    sub = np.asarray(gf.sub_table, dtype=np.intp)
     e = d.rates
     denom = float((e.sum(axis=1) ** 2).sum())
     if denom <= 0.0:

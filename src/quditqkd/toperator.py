@@ -3,9 +3,10 @@
 For every prime power N there is a unitary T, unique up to global phase,
 whose conjugation maps X_a Z_b to a phase times X_a' Z_b' with (a', b')
 given by a symmetric unit-determinant matrix M over GF(N) whose
-characteristic polynomial has a root of multiplicative order N+1.  T
-itself has order N+1 up to phase, and its powers applied to the standard
-basis generate mutually unbiased bases.
+characteristic polynomial y^2 + c*y + 1 has a root of multiplicative
+order N+1; c and M are found with GF(N) arithmetic alone.  T itself has
+order N+1 up to phase, and its powers applied to the standard basis
+generate mutually unbiased bases.
 
 Construction is verified before anything is returned: unitarity, the
 conjugation relation for every label, and the order are all checked at
@@ -15,12 +16,11 @@ conjugation relation for every label, and the order are all checked at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import InvariantViolation
-from .fields import GF, make_quadratic_extension
+from .fields import _TABLE_MAX, GF, _prime_divisors
 from .pauli import phase_value
 
 
@@ -57,37 +57,48 @@ class TOperator:
     f_table: tuple[np.ndarray, np.ndarray]  # (num, den) of f, indexed [a, b]
 
 
-@lru_cache(maxsize=None)
-def _quadratic_extension(gf: GF):
-    return make_quadratic_extension(gf)
-
-
 def find_char_poly(gf: GF) -> int:
-    """Smallest c for which y^2 + c*y + 1 is irreducible with a root of
-    multiplicative order exactly N+1 in GF(N^2)."""
-    ext, embed = _quadratic_extension(gf)
+    """Smallest c for which a root of y^2 + c*y + 1 has multiplicative
+    order exactly N+1, tested in R = GF(N)[y]/(y^2 + c*y + 1) as y^(N+1) = 1
+    and y^((N+1)/q) != 1 for every prime q dividing N+1.  Only irreducible
+    polynomials can pass: if irreducible, R is GF(N^2) and y is a root;
+    with distinct roots r, 1/r in GF(N), y^(N+1) maps to (r^2, r^-2) != 1
+    in GF(N) x GF(N); with a double root r = +-1, y = r + e with e^2 = 0,
+    and y^(N+1) = r^(N+1) + (N+1) r^N e keeps its e term, since N+1 is
+    1 mod p.
+    """
+    N = gf.N
+    if N > _TABLE_MAX:
+        raise ValueError(f"T parameters are searched for N <= {_TABLE_MAX}, got N={N}")
     for c in gf.elements():
-        # irreducible over GF(N) <=> no root in GF(N)
-        if any(gf.add(gf.add(gf.mul(y, y), gf.mul(c, y)), 1) == 0 for y in gf.elements()):
-            continue
-        xi = _root_in_extension(gf, ext, embed, c)
-        if ext.mult_order(xi) == gf.N + 1:
+        if _y_power(gf, c, N + 1) == (1, 0) and all(
+            _y_power(gf, c, (N + 1) // q) != (1, 0) for q in _prime_divisors(N + 1)
+        ):
             return c
-    raise InvariantViolation(f"no order-{gf.N + 1} characteristic polynomial over GF({gf.N})")
+    raise InvariantViolation(f"no order-{N + 1} characteristic polynomial over GF({N})")
 
 
-def _root_in_extension(gf: GF, ext: GF, embed, c: int) -> int:
-    ce = embed[c]
-    one = embed[1]
-    for z in ext.elements():
-        if ext.add(ext.add(ext.mul(z, z), ext.mul(ce, z)), one) == 0:
-            return z
-    raise InvariantViolation("irreducible quadratic without root in the quadratic extension")
+def _y_power(gf: GF, c: int, e: int) -> tuple[int, int]:
+    """y^e in GF(N)[y]/(y^2 + c*y + 1) as (u, v), standing for u + v*y."""
+
+    def mul(x, z):  # (u + v y)(s + t y), reduced with y^2 = -c y - 1
+        vt = gf.mul(x[1], z[1])
+        cross = gf.add(gf.mul(x[0], z[1]), gf.mul(x[1], z[0]))
+        return gf.sub(gf.mul(x[0], z[0]), vt), gf.sub(cross, gf.mul(c, vt))
+
+    result, base = (1, 0), (0, 1)
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
 
 
 def choose_M(gf: GF, c: int) -> SymplecticParams:
     """Pick (alpha, beta, gamma) with alpha*gamma - beta^2 = 1 and
-    alpha + gamma = -c, following the two solvable cases."""
+    alpha + gamma = -c, following the two solvable cases: beta^2 = -1
+    with alpha = 0, or alpha = 1 with beta^2 = -c - 2 (the smaller root)."""
     p = gf.p
     if p == 2 or p % 4 == 1:
         beta = gf.sqrt(gf.neg(1))
@@ -97,20 +108,9 @@ def choose_M(gf: GF, c: int) -> SymplecticParams:
     else:
         alpha = 1
         gamma = gf.neg(gf.add(c, 1))
-        ext, embed = _quadratic_extension(gf)
-        back = {v: k for k, v in enumerate(embed)}
-        xi = _root_in_extension(gf, ext, embed, c)
-        eta = ext.sqrt(xi)
-        if eta is None:
-            raise InvariantViolation("root of the characteristic polynomial has no square root")
-        cands = []
-        for e in (eta, ext.neg(eta)):
-            bx = ext.sub(e, ext.inv(e))
-            if bx in back:
-                cands.append(back[bx])
-        if not cands:
-            raise InvariantViolation("beta = xi^(1/2) - xi^(-1/2) did not land in the base field")
-        beta = min(cands)
+        beta = gf.sqrt(gf.sub(gamma, 1))  # alpha*gamma - 1 = -c - 2
+        if beta is None:
+            raise InvariantViolation("-c - 2 has no square root in the base field")
     params = SymplecticParams(alpha, beta, gamma, c)
     lhs = gf.sub(gf.mul(alpha, gamma), gf.mul(beta, beta))
     if lhs != 1:

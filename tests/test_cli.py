@@ -210,6 +210,14 @@ def test_oversized_run_exits_3_without_traceback():
     assert res.stderr == "config error: out of memory at L=1000000000000\n"
 
 
+def test_field_above_parameter_search_cap_exits_3_without_traceback():
+    res = run_cli(["classes", "--p", "2", "--n", "9"])
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
 def test_simulate_requires_seed():
     res = run_cli(["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless"])
     assert res.returncode == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditqkd.fields import GF, make_field, make_quadratic_extension
+from quditqkd.fields import GF, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 # every realizable field with N <= 64, used for the exhaustive axiom sweep
@@ -164,41 +164,3 @@ def test_trace_frobenius_invariant():
         for a in gf.elements():
             assert gf.trace(gf.pow(a, p)) == gf.trace(a)
 
-
-# ---------------------------------------------------------------
-# quadratic extension
-# ---------------------------------------------------------------
-
-def test_extension_gf2_to_gf4():
-    gf = make_field(2, 1)
-    ext, embed = make_quadratic_extension(gf)
-    assert ext.N == 4
-    assert embed[0] == 0 and embed[1] == 1
-
-
-def test_extension_gf3_fourth_root():
-    gf = make_field(3, 1)
-    ext, embed = make_quadratic_extension(gf)
-    minus_one = embed[gf.neg(1)]
-    xis = [z for z in ext.elements() if ext.mul(z, z) == minus_one]
-    assert xis, "no element with xi^2 = -1 in GF(9)"
-    for xi in xis:
-        assert ext.pow(xi, 4) == 1
-        assert ext.mult_order(xi) == 4
-
-
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
-def test_extension_embedding_is_homomorphism(p, n):
-    gf = make_field(p, n)
-    ext, embed = make_quadratic_extension(gf)
-    assert embed[1] == 1
-    for a in gf.elements():
-        for b in gf.elements():
-            assert embed[gf.add(a, b)] == ext.add(embed[a], embed[b])
-            assert embed[gf.mul(a, b)] == ext.mul(embed[a], embed[b])
-    assert len(set(embed)) == gf.N  # injective
-
-
-def test_extension_size_cap():
-    with pytest.raises(ValueError):
-        make_quadratic_extension(make_field(2, 9))

@@ -80,7 +80,7 @@ def test_group_sums_paths_agree():
         gf = make_field(p, n)
         v = rng.integers(0, gf.N, (ell, r), dtype=np.uint8)
         want = group_sums_reference(v.tolist(), gf.add_table.tolist())
-        got = kernels.group_sums(v, ell, r, gf)
+        got = kernels.group_sums(v, gf)
         assert got.dtype == v.dtype
         assert got.tolist() == want, (p, n)
 
@@ -90,7 +90,7 @@ def test_group_sums_match_xor_for_p2(pool):
     ell, r = 500, 9
     v = a[: ell * r].reshape(ell, r)
     want = np.bitwise_xor.reduce(v, axis=1)
-    assert (kernels.group_sums(v, ell, r, make_field(2, 4)) == want).all()
+    assert (kernels.group_sums(v, make_field(2, 4)) == want).all()
 
 
 def test_plurality_paths_agree(small_pool):
@@ -98,11 +98,11 @@ def test_plurality_paths_agree(small_pool):
     add_t, a, b, *_ = small_pool
     ell, r = 150, 13
     v = b[: ell * r].reshape(ell, r)
-    assert kernels.plurality(v, ell, r, 16).tolist() == plurality_reference(v.tolist(), 16)
+    assert kernels.plurality(v, 16).tolist() == plurality_reference(v.tolist(), 16)
 
 
 def test_plurality_tie_breaks():
     # count ties prefer 0, then the smaller symbol
     v = np.array([[0, 1, 1, 0, 2], [1, 2, 2, 1, 3], [3, 3, 1, 1, 2]], dtype=np.uint8)
-    assert kernels.plurality(v, 3, 5, 4).tolist() == [0, 1, 1]
+    assert kernels.plurality(v, 4).tolist() == [0, 1, 1]
     assert plurality_reference(v.tolist(), 4) == [0, 1, 1]

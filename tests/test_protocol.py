@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,10 +421,10 @@ def test_adjacent_pairing_matches_recursion_across_seeds():
     assert label_stat < chi2.ppf(0.999, cells.sum() - 1)
 
 
-def n16_grouped_attack_config():
-    """N=16, L=1.5e7 grouped attack: about 3.4 blocks of sifted registers."""
+def n16_grouped_attack_config(L=15_000_000):
+    """N=16 grouped attack; the default L=1.5e7 gives about 3.4 blocks of
+    sifted registers."""
     gf, _ = cached_params(2, 4)
-    L = 15_000_000
     return ProtocolConfig(gf=gf, L=L, rng_seed=3, test_count=int(0.01 * L / 289),
                           delta=0.0065, ep_rounds=4, pec_r=25)
 
@@ -448,6 +449,29 @@ def test_peak_memory_per_sifted_register():
         tracemalloc.stop()
     assert not rep.aborted and rep.keys_match
     assert peak / rep.n_sifted <= 18.0
+
+
+def _traced_peak(L):
+    # at L = 3e7 this seed's estimate (0.7945) passes the default abort
+    # threshold (0.7940); a higher one lets both runs reach every stage
+    cfg = replace(n16_grouped_attack_config(L), abort_threshold=0.9)
+    tracemalloc.start()
+    try:
+        rep = run_protocol(cfg, ChannelModel.grouped_qubit_attack(0.84))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.aborted and rep.keys_match
+    return peak, rep.n_sifted
+
+
+def test_peak_memory_slope_per_sifted_register():
+    # the difference of two pool sizes cancels the fixed per-block buffers;
+    # the sift's six byte arrays give 5.97 B, and one more sifted-pool byte
+    # array reads 6.97 B
+    peak1, n1 = _traced_peak(15_000_000)
+    peak2, n2 = _traced_peak(30_000_000)
+    assert (peak2 - peak1) / (n2 - n1) <= 6.5
 
 
 @pytest.mark.parametrize("p,n,kind,block", [

@@ -4,7 +4,7 @@ import pytest
 from conftest import PRIME_POWERS, cached_params, cached_partition, cached_top
 from quditqkd import cli, toperator
 from quditqkd.exceptions import InvariantViolation
-from quditqkd.fields import make_field
+from quditqkd.fields import _prime_divisors, make_field
 from quditqkd.pauli import PauliLabel, pauli_matrix, phase_value
 from quditqkd.toperator import (
     SymplecticParams,
@@ -12,12 +12,14 @@ from quditqkd.toperator import (
     _coeffs_closure,
     _conjugation_residual,
     _f_table,
+    _mat2_mul,
     _pair_correction,
     _scalar_order,
     build_T,
     choose_M,
     conjugate_label,
     find_char_poly,
+    m_power,
     make_t_operator,
     phase_exponent_f,
     verify_T,
@@ -53,6 +55,53 @@ def test_choose_m_small_fields():
     m = choose_M(gf, 2)
     assert (m.alpha, m.beta, m.gamma) == (0, 1, 2)
 
+
+# (c, alpha, beta, gamma) for every prime power N <= 256, keyed by (p, n)
+PINNED_PARAMS = {
+    (2, 1): (1, 0, 1, 1), (3, 1): (0, 1, 1, 2), (2, 2): (2, 0, 1, 2), (5, 1): (4, 0, 2, 1),
+    (7, 1): (3, 1, 3, 3), (2, 3): (2, 0, 1, 2), (3, 2): (4, 1, 4, 7), (11, 1): (5, 1, 2, 5),
+    (13, 1): (7, 0, 5, 6), (2, 4): (2, 0, 1, 2), (17, 1): (7, 0, 4, 10),
+    (19, 1): (6, 1, 7, 12), (23, 1): (3, 1, 8, 19), (5, 2): (6, 0, 2, 24),
+    (3, 3): (11, 1, 15, 18), (29, 1): (4, 0, 12, 25), (31, 1): (4, 1, 5, 26),
+    (2, 5): (6, 0, 1, 6), (37, 1): (7, 0, 6, 30), (41, 1): (8, 0, 9, 33),
+    (43, 1): (3, 1, 9, 39), (47, 1): (8, 1, 15, 38), (7, 2): (11, 1, 10, 44),
+    (53, 1): (5, 0, 23, 48), (59, 1): (9, 1, 15, 49), (61, 1): (10, 0, 11, 51),
+    (2, 6): (2, 0, 1, 2), (67, 1): (3, 1, 14, 63), (71, 1): (5, 1, 8, 65),
+    (73, 1): (7, 0, 27, 66), (79, 1): (4, 1, 28, 74), (3, 4): (3, 1, 9, 8),
+    (83, 1): (3, 1, 24, 79), (89, 1): (8, 0, 34, 81), (97, 1): (7, 0, 22, 90),
+    (101, 1): (12, 0, 10, 89), (103, 1): (3, 1, 43, 99), (107, 1): (5, 1, 10, 101),
+    (109, 1): (13, 0, 33, 96), (113, 1): (5, 0, 15, 108), (11, 2): (14, 1, 42, 117),
+    (5, 3): (6, 0, 2, 24), (127, 1): (3, 1, 54, 123), (2, 7): (8, 0, 1, 8),
+    (131, 1): (6, 1, 56, 124), (137, 1): (5, 0, 37, 132), (139, 1): (6, 1, 39, 132),
+    (149, 1): (4, 0, 44, 145), (151, 1): (4, 1, 30, 146), (157, 1): (7, 0, 28, 150),
+    (163, 1): (3, 1, 22, 159), (167, 1): (3, 1, 50, 163), (13, 2): (17, 0, 5, 165),
+    (173, 1): (4, 0, 80, 169), (179, 1): (22, 1, 79, 156), (181, 1): (9, 0, 19, 172),
+    (191, 1): (5, 1, 39, 185), (193, 1): (7, 0, 81, 186), (197, 1): (4, 0, 14, 193),
+    (199, 1): (4, 1, 81, 194), (211, 1): (6, 1, 25, 204), (223, 1): (3, 1, 21, 219),
+    (227, 1): (3, 1, 26, 223), (229, 1): (10, 0, 107, 219), (233, 1): (12, 0, 89, 221),
+    (239, 1): (5, 1, 94, 233), (241, 1): (13, 0, 64, 228), (3, 5): (12, 1, 109, 26),
+    (251, 1): (9, 1, 95, 241), (2, 8): (2, 0, 1, 2),
+}
+
+
+def test_params_are_pinned_for_every_field_up_to_256():
+    got = {}
+    for p, n in PINNED_PARAMS:
+        gf = make_field(p, n)
+        m = choose_M(gf, find_char_poly(gf))
+        got[p, n] = (m.c, m.alpha, m.beta, m.gamma)
+    assert got == PINNED_PARAMS
+
+
+@pytest.mark.parametrize("p,n", [pn for pn in PINNED_PARAMS if pn[0] ** pn[1] <= 64])
+def test_m_has_order_exactly_n_plus_one(p, n):
+    gf, params = cached_params(p, n)
+    N = gf.N
+    identity = ((1, 0), (0, 1))
+    # m_power reduces its exponent mod N+1, so M^(N+1) is M^N times M
+    assert _mat2_mul(gf, m_power(gf, params, N), m_power(gf, params, 1)) == identity
+    for q in _prime_divisors(N + 1):
+        assert m_power(gf, params, (N + 1) // q) != identity
 
 @pytest.mark.parametrize("p,n", PRIME_POWERS)
 def test_unit_determinant(p, n):
