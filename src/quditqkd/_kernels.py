@@ -17,9 +17,9 @@ USING_NUMBA = False
 
 def ep_round(a, b, s, bob, add_t):
     m = a.size // 2
-    pairs = np.flatnonzero(a[0 : 2 * m : 2] == a[1 : 2 * m : 2])
-    ctl = lambda v: v[0 : 2 * m : 2].take(pairs)
-    return ctl(a), add_t[ctl(b), b[1 : 2 * m : 2].take(pairs)], ctl(s), ctl(bob)
+    # gather from the contiguous arrays: take on a strided view copies it first
+    ctl = 2 * np.flatnonzero(a[0 : 2 * m : 2] == a[1 : 2 * m : 2])
+    return a.take(ctl), add_t[b.take(ctl), b.take(ctl + 1)], s.take(ctl), bob.take(ctl)
 
 
 # Field addition adds base-p digits mod p: sum each digit over a group.

@@ -49,7 +49,11 @@ from .rates import (ErrorDistribution, ep_closed_form, pec_phase_bound, qer_esti
                     worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
 
-_BLOCK = 1 << 18  # elements drawn, counted or argsorted at a time (cache-sized)
+# Elements drawn, counted or argsorted at a time, cache-sized: a block's
+# 1 MB intp buffer fits in a 2 MB L2 cache, a 2^18 block's 2 MB fills it.
+# On a 2-core Xeon with that L2, a stable block argsort cost 12.8-16 ns per
+# element at 2^18 and 3.5-11 ns at 2^15-2^17.
+_BLOCK = 1 << 17
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +243,12 @@ class SimReport:
 # ----------------------------------------------------------------------
 
 def _gf_add(gf: GF, x, y, out=None, idx=None):
-    """x + y over GF(N) as one flat lookup of the uint8 add table at x*N + y,
-    built in the intp buffer *idx* (a new one if None).  Every index is in
+    """x + y over GF(N).  For p = 2 this is the XOR of the n-bit encodings.
+    Otherwise it is one flat lookup of the uint8 add table at x*N + y,
+    built in the intp buffer *idx* (a new one if None); every index is in
     range by construction, and mode="clip" writes to out unbuffered."""
+    if gf.p == 2:
+        return np.bitwise_xor(x, y, out=out)
     idx = np.empty(x.size, np.intp) if idx is None else idx
     idx[...] = x
     idx *= gf.N

@@ -166,6 +166,9 @@ PINNED_REPORTS = {
     "odd p, bound-free r": (
         "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
         "07a463f5995e5b65984c2db992934e49", (53, 4, None)),
+    "odd p, multi-block": (  # 799,771 sifted registers: several pool blocks
+        "--p 3 --n 2 --L 8000000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
+        "79210047bed9604a34d24a2a47151e2c", (205, 4, None)),
     "automatic, smallest bound": (
         "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
         "f39707c7811555b6a1493949169b7cd7", (2129, 4, False)),

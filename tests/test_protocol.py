@@ -10,6 +10,7 @@ from scipy.stats import chi2
 from conftest import cached_params, cached_partition
 from quditqkd import protocol
 from quditqkd.exceptions import ConfigError
+from quditqkd.fields import make_field
 from quditqkd.protocol import (
     ChannelModel,
     ProtocolConfig,
@@ -104,6 +105,23 @@ def test_per_qubit_measure_probability():
 # ---------------------------------------------------------------
 # sift
 # ---------------------------------------------------------------
+
+FIELDS_TO_256 = [(p, n) for p in range(2, 257) if all(p % d for d in range(2, p))
+                 for n in range(1, 9) if p**n <= 256]
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_256)
+def test_gf_add_matches_add_table(p, n):
+    # p = 2 adds by XOR, odd p through the table; both must be the table
+    gf = make_field(p, n)
+    x, y = (v.ravel().astype(np.uint8) for v in np.indices((gf.N, gf.N)))
+    want = gf.add_table[x, y]
+    assert (protocol._gf_add(gf, x, y) == want).all()
+    # into a slice of a longer array with an index buffer, as sift writes Bob's value
+    out = np.zeros(x.size + 3, np.uint8)
+    protocol._gf_add(gf, x, y, out=out[1:-2], idx=np.empty(x.size, np.intp))
+    assert (out[1:-2] == want).all() and not out[[0, -2, -1]].any()
+
 
 def test_sift_all_matching_powers():
     gf, params = cached_params(2, 1)
@@ -422,7 +440,7 @@ def test_adjacent_pairing_matches_recursion_across_seeds():
 
 
 def n16_grouped_attack_config(L=15_000_000):
-    """N=16 grouped attack; the default L=1.5e7 gives about 3.4 blocks of
+    """N=16 grouped attack; the default L=1.5e7 gives about 6.7 blocks of
     sifted registers."""
     gf, _ = cached_params(2, 4)
     return ProtocolConfig(gf=gf, L=L, rng_seed=3, test_count=int(0.01 * L / 289),
