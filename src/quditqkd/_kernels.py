@@ -13,13 +13,16 @@ USING_NUMBA = False
 #
 # Register 2j (control) pairs with 2j+1 (target); an odd last register is
 # dropped.  A pair survives when the spin labels agree; the control keeps
-# its value and spin label and accumulates the target's phase label.
+# its value and spin label and accumulates the target's phase label, added
+# through the (N, N) add table, or by XOR at characteristic 2 (1 + 1 = 0).
 
 def ep_round(a, b, s, bob, add_t):
     m = a.size // 2
     # gather from the contiguous arrays: take on a strided view copies it first
     ctl = 2 * np.flatnonzero(a[0 : 2 * m : 2] == a[1 : 2 * m : 2])
-    return a.take(ctl), add_t[b.take(ctl), b.take(ctl + 1)], s.take(ctl), bob.take(ctl)
+    phase, target = b.take(ctl), b.take(ctl + 1)
+    phase = np.bitwise_xor(phase, target, out=phase) if add_t[1, 1] == 0 else add_t[phase, target]
+    return a.take(ctl), phase, s.take(ctl), bob.take(ctl)
 
 
 # Field addition adds base-p digits mod p: sum each digit over a group.

@@ -13,6 +13,12 @@ no-disturbance case when the applied power fixes the standard basis).
 Only sifted particles are materialized: the sifted count is drawn as a
 Binomial(L, 1/(N+1)) and set indices uniformly, which has exactly the
 law of simulating all L transmissions and discarding the mismatches.
+The pool's uniform 8-bit variates (set index, Alice's value, twirl
+phase) come from _uint8_below: NumPy's own rule for
+Generator.integers(..., dtype=np.uint8), vectorised over bulk 32-bit
+outputs.  It gives the same variates and leaves the generator in the
+same state, so reports for a fixed seed are byte-identical to drawing
+them with Generator.integers.
 
 run_protocol calls the stages in order, on plain arrays; the first three
 walk the pool _BLOCK registers at a time.  sample_raw_labels draws the
@@ -141,6 +147,43 @@ def _fill(out: np.ndarray, draw) -> np.ndarray:
     return out
 
 
+def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
+    """rng.integers(0, R, size=count, dtype=np.uint8) for 1 <= R <= 256, bit
+    for bit, leaving rng in the same state, but vectorised.
+
+    NumPy draws each variate from the next little-endian byte of successive
+    32-bit outputs, starting a fresh output per call, by Lemire's rule
+    (ACM TOMACS 29(1), 2019): m = byte * R, rejected while m & 255 is below
+    (256 - R) % R, else m >> 8.  Here each draw takes ceil(d / 4) outputs for
+    the d variates still missing, at most a _BLOCK of them: NumPy must read
+    at least that many to fill them, so no output is taken that NumPy would
+    not take, and only the last draw's surplus is dropped, as NumPy drops the
+    rest of its last output.  The rule is an exact uniform sampler whatever
+    NumPy's own algorithm, so the law of the draws never depends on it.
+    """
+    out = np.zeros(count, np.uint8)
+    if R == 1:
+        return out  # NumPy draws nothing for a single value
+    threshold = (256 - R) % R  # 0 when R divides 256: nothing is rejected
+    shift = 9 - R.bit_length()  # m >> 8 = byte >> shift when R = 2^(8 - shift)
+    filled = 0
+    while filled < count:
+        raw = rng.integers(0, 2**32, size=-(-min(count - filled, _BLOCK) // 4), dtype=np.uint32)
+        byte = raw.astype("<u4", copy=False).view(np.uint8)
+        if threshold == 0:
+            vals = byte >> shift
+        else:
+            m = byte.astype(np.uint16)
+            m *= R
+            keep = m.astype(np.uint8) >= threshold  # m & 255
+            m >>= 8
+            vals = m.astype(np.uint8)[keep]
+        vals = vals[: count - filled]
+        out[filled : filled + vals.size] = vals
+        filled += vals.size
+    return out
+
+
 def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.Generator):
     """Raw (pre-sift) error labels (a, b) of *count* particles, as the flat
     label a*N + b in the smallest unsigned dtype that holds N*N - 1.  The
@@ -155,7 +198,7 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
     out = _fill(np.empty(count, dtype), lambda m: rng.random(m) < q)  # 1 where measured
-    out *= rng.integers(0, N, size=count, dtype=np.uint8)
+    out *= _uint8_below(rng, N, count)
     return out
 
 
@@ -446,8 +489,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
 
     # -- transmission + sift (law-equivalent subsampling of matches) ----
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
-    set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
-    s = rng.integers(0, N, size=n_sift, dtype=np.uint8)
+    set_idx = _uint8_below(rng, N + 1, n_sift)
+    s = _uint8_below(rng, N, n_sift)
     a, b, bob, block_sizes, sift_counts = sift(gf, params, set_idx,
                                                sample_raw_labels(channel, gf, n_sift, rng), s)
     set_sizes = block_sizes.sum(axis=0)

@@ -144,8 +144,12 @@ def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
         return ErrorDistribution(d.gf, d.rates.copy(), ep_evolved=d.ep_evolved, check=False)
     gf = d.gf
     W = _character_matrix(gf)
-    ehat = d.rates @ W.T  # row transforms, ehat[a, m]
-    powed = ehat ** (2**k)
+    powed = d.rates @ W.T  # row transforms, ehat[a, m], raised to 2^k by squaring
+    for _ in range(k):
+        powed *= powed
+        # an exact power-of-two rescale, which cancels in numer / denom, keeps
+        # the largest row mass powed[:, 0] in [0.5, 1): deep k cannot underflow
+        powed *= 2.0 ** -math.frexp(float(powed[:, 0].real.max()))[1]
     numer = (powed @ W.conj()).real / gf.N
     denom = float(powed[:, 0].real.sum())
     if denom <= 0.0:

@@ -46,6 +46,17 @@ def test_thresholds_json_carries_full_precision(tmp_path):
     assert abs(full[0]["e_sbmer"] - 0.2763932022500211) < 1e-12
 
 
+def test_deep_purification_closed_form_does_not_underflow():
+    # 12 rounds at N = 2, e00 = 0.6: the worst-case closed form's 2^12-th
+    # powers underflow double precision, and the run still ends in exit 0
+    res = run_cli(["simulate", "--p", "2", "--n", "1", "--L", "2000000", "--channel", "pauli-iid",
+                   "--qer", "0.4", "--abort-threshold", "0.45", "--ep-rounds", "12", "--seed", "1"])
+    assert res.returncode == 0, res.stderr
+    r = json.loads(res.stdout)["result"]
+    assert not r["aborted"] and r["ep_rounds"] == 12
+    assert r["analytic_spin_bound"] is not None and r["analytic_phase_bound"] is not None
+
+
 def test_thresholds_reject_odd_p():
     res = run_cli(["thresholds", "--p", "3", "--n", "1"])
     assert res.returncode == 3

@@ -103,6 +103,36 @@ def test_per_qubit_measure_probability():
 
 
 # ---------------------------------------------------------------
+# 8-bit variates
+# ---------------------------------------------------------------
+
+B = protocol._BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, B - 1, B, B + 1, 3 * B + 1])
+def test_uint8_below_matches_integers_bit_for_bit(count):
+    # every range, across block edges and refills after rejections: the same
+    # variates as NumPy's own 8-bit draw, and the generator left where it is
+    for R in range(1, 257):
+        mine, ref = np.random.default_rng((R, count)), np.random.default_rng((R, count))
+        got = protocol._uint8_below(mine, R, count)
+        want = ref.integers(0, R, size=count, dtype=np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), R
+        assert mine.random() == ref.random(), R
+        assert mine.integers(0, 2**62) == ref.integers(0, 2**62), R
+
+
+def test_uint8_below_is_blind_to_the_block_size(monkeypatch):
+    # a block that is not a whole number of 32-bit outputs
+    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    for R in range(1, 257):
+        mine, ref = np.random.default_rng(R), np.random.default_rng(R)
+        assert np.array_equal(protocol._uint8_below(mine, R, 1001),
+                              ref.integers(0, R, size=1001, dtype=np.uint8)), R
+        assert mine.integers(0, 2**62) == ref.integers(0, 2**62), R
+
+
+# ---------------------------------------------------------------
 # sift
 # ---------------------------------------------------------------
 
@@ -264,6 +294,19 @@ def test_pre_purification_fields_are_pinned(kw, channel, want):
 # ---------------------------------------------------------------
 # purification and majority vote stages
 # ---------------------------------------------------------------
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_256)
+def test_ep_round_phase_add_matches_add_table(p, n):
+    # p = 2 adds the phase labels by XOR, odd p through the table
+    gf = make_field(p, n)
+    rng = np.random.default_rng(gf.N)
+    a = rng.integers(0, 2, 4 * gf.N * gf.N + 1, dtype=np.uint8)  # half the pairs agree
+    b = rng.integers(0, gf.N, a.size, dtype=np.uint8)
+    a2, b2, _, _ = locc2_ep_round(gf, a, b, a, a)
+    ctl = 2 * np.flatnonzero(a[0:-1:2] == a[1::2])
+    assert a2.size == ctl.size > 0
+    assert np.array_equal(b2, gf.add_table[b[ctl], b[ctl + 1]])
+
 
 def test_ep_round_noiseless_halves_pool():
     gf, _ = cached_params(2, 1)

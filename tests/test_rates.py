@@ -165,6 +165,21 @@ def test_closed_form_matches_iteration():
             assert np.abs(ep_closed_form(d, k).rates - it.rates).max() < 1e-10
 
 
+def test_closed_form_survives_underflow_at_deep_k():
+    # (e00 + e01)^(2^k) underflows double precision by k = 12 at e00 = 0.6;
+    # the closed form still tracks the round-by-round recursion
+    for p, n in [(2, 1), (2, 4), (3, 1)]:
+        gf, _ = cached_params(p, n)
+        d = worst_case_distribution(gf, cached_partition(p, n), 0.6) if p == 2 else \
+            random_class_symmetric(p, n, np.random.default_rng(4))
+        it = d
+        for k in range(1, 15):
+            it = ep_step(it)
+            got = ep_closed_form(d, k).rates
+            assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-12, (p, n, k)
+            assert np.abs(got - it.rates).max() < 1e-10, (p, n, k)
+
+
 def test_closed_form_worst_case_formulas():
     # for the worst-case shape at N = 2^n the row-0 rates have an explicit form
     for p, n, e00 in [(2, 1, 0.7), (2, 2, 0.6), (2, 3, 0.55)]:
