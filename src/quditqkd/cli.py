@@ -9,7 +9,8 @@ reproduced exactly.
 
 Exit codes: 0 success (a protocol abort is a successful simulation),
 2 usage error, 3 config semantics error (also a run too large for
-memory), 4 internal invariant failure, 5 I/O failure.
+memory), 4 internal failure (a broken invariant, or a ValueError raised
+below every config check), 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -174,14 +175,21 @@ def _resolve_seed(args: argparse.Namespace) -> Optional[int]:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError as exc:
+        raise ConfigError(f"${SEED_ENV} is not an integer: {env!r}") from exc
 
 
 def _parse_degree_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        lo, sep, hi = text.partition("..")
+        degrees = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError as exc:
+        raise ConfigError(f"invalid extension degree range {text!r}") from exc
+    if degrees and degrees[0] < 1:
+        raise ConfigError(f"extension degrees must be positive, got {text!r}")
+    return degrees
 
 
 def _degree(args) -> int:
@@ -355,6 +363,8 @@ def _cmd_simulate(args, seed):
             raise ConfigError(f"--{name} must be at least 1, got {getattr(args, name)}")
     if seed is None:
         raise ConfigError(f"simulate requires a seed (--seed, config file, or ${SEED_ENV})")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     gf = make_field(args.p, _degree(args))
     if args.test_count is None and args.test_fraction is None:
         args.test_fraction = 0.01
@@ -468,8 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK
     except SystemExit as exc:  # usage error from _check_required
         return int(exc.code)
-    except ValueError as exc:
-        # ConfigError and invalid field parameters both land here
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
@@ -477,6 +486,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ValueError as exc:  # raised below every config check: a fault of the program
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INVARIANT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

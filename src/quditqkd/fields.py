@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from .exceptions import ConfigError
+
 # Hard size cap: keeps exhaustive verification and table building cheap.
 MAX_FIELD_SIZE = 1 << 16
 
@@ -162,11 +164,11 @@ class GF:
 
     def __init__(self, p: int, n: int) -> None:
         if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
+            raise ConfigError(f"p={p} is not prime")
         if n <= 0:
-            raise ValueError(f"extension degree must be positive, got {n}")
+            raise ConfigError(f"extension degree must be positive, got {n}")
         if p**n > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {p}^{n} exceeds the desk-scale cap {MAX_FIELD_SIZE}")
+            raise ConfigError(f"field size {p}^{n} exceeds the desk-scale cap {MAX_FIELD_SIZE}")
         self.p = p
         self.n = n
         self.N = p**n

@@ -18,7 +18,12 @@ phase) come from _uint8_below: NumPy's own rule for
 Generator.integers(..., dtype=np.uint8), vectorised over bulk 32-bit
 outputs.  It gives the same variates and leaves the generator in the
 same state, so reports for a fixed seed are byte-identical to drawing
-them with Generator.integers.
+them with Generator.integers.  Likewise pauli-iid raw labels come from
+_categorical: Generator.choice's inverse-CDF map, applied to the same
+doubles, with a bucket table answering most of them without choice's
+binary search; the labels and the generator state afterwards are
+choice's, so reports stay byte-identical to drawing them with
+Generator.choice.
 
 run_protocol calls the stages in order, on plain arrays; the first three
 walk the pool _BLOCK registers at a time.  sample_raw_labels draws the
@@ -124,6 +129,8 @@ class ChannelModel:
         if self.kind == "pauli-iid":
             if self.label_rates is None or self.label_rates.shape != (gf.N, gf.N):
                 raise ConfigError("pauli-iid channel needs an (N, N) label distribution")
+            if not (self.label_rates >= 0).all():  # NaN fails too
+                raise ConfigError("pauli-iid label rates must be nonnegative")
             if abs(float(self.label_rates.sum()) - 1.0) > 1e-9:
                 raise ConfigError("pauli-iid label distribution must sum to 1")
         if self.kind in ("grouped-qubit-attack", "per-qubit-attack") and gf.p != 2:
@@ -139,8 +146,8 @@ class ChannelModel:
 
 
 def _fill(out: np.ndarray, draw) -> np.ndarray:
-    """Fill *out* from draw(size) a block at a time; float draws (also
-    choice with p) give the same stream in blocks as in one call."""
+    """Fill *out* from draw(size) a block at a time; float draws give the
+    same stream in blocks as in one call."""
     for start in range(0, out.size, _BLOCK):
         blk = out[start : start + _BLOCK]
         blk[...] = draw(blk.size)
@@ -184,6 +191,46 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
     return out
 
 
+def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill *out* with rng.choice(p.size, size=out.size, p=p), bit for bit,
+    leaving rng in the same state, by a table lookup in place of most of
+    choice's binary search.
+
+    choice maps each double u of rng.random to cdf.searchsorted(u, "right"),
+    for cdf = p.cumsum() / its last entry.  Here u and cdf are scaled by nb,
+    a power of two, which is exact and keeps their order, and bucket b holds
+    the u with b <= u * nb < b + 1.  If no cdf entry lies strictly inside the
+    bucket, all its u map to the number of entries <= b, which the table
+    stores; the rest hold the sentinel and their u are searched as choice
+    searches them.  The sentinel is p.size where out's dtype has room for
+    it, else the least likely label: any u that gets it is searched too, so
+    it costs time, not exactness.
+    """
+    K = p.size
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    nb = 1 << min(16, (64 * K - 1).bit_length())  # >= 64 buckets per label, at most 2^16
+    cdf *= nb
+    sentinel = K if K <= np.iinfo(out.dtype).max else int(p.argmin())
+    # an entry is <= b exactly when its ceiling is
+    table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=nb + 1).cumsum()[:nb]
+    table = table.astype(out.dtype)
+    table[cdf[cdf != np.floor(cdf)].astype(np.intp)] = sentinel  # entries strictly inside
+    u = np.empty(min(_BLOCK, out.size))
+    idx = np.empty(u.size, np.intp)
+    for start in range(0, out.size, _BLOCK):
+        lab = out[start : start + _BLOCK]
+        ub, ib = u[: lab.size], idx[: lab.size]
+        rng.random(out=ub)
+        ub *= nb
+        ib[...] = ub  # truncation is floor(u * nb): both are exact
+        np.take(table, ib, out=lab, mode="clip")
+        # the index is spent: its buffer holds the mask
+        amb = np.equal(lab, sentinel, out=ib.view(bool)[: lab.size])
+        lab[amb] = cdf.searchsorted(ub[amb], "right")
+    return out
+
+
 def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.Generator):
     """Raw (pre-sift) error labels (a, b) of *count* particles, as the flat
     label a*N + b in the smallest unsigned dtype that holds N*N - 1.  The
@@ -194,7 +241,7 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
         return np.zeros(count, dtype=dtype)
     if channel.kind == "pauli-iid":
         p = channel.label_rates.ravel() / channel.label_rates.ravel().sum()
-        return _fill(np.empty(count, dtype), lambda m: rng.choice(N * N, size=m, p=p))
+        return _categorical(rng, p, np.empty(count, dtype))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
     out = _fill(np.empty(count, dtype), lambda m: rng.random(m) < q)  # 1 where measured
@@ -230,8 +277,8 @@ class ProtocolConfig:
         return thresholds(self.gf.N).e_qer - self.delta
 
     def validate(self) -> None:
-        if self.L < 1:
-            raise ConfigError("L must be positive")
+        if not 1 <= self.L < 2**63:  # the binomial sift count takes a C long
+            raise ConfigError(f"L must lie in [1, 2^63), got {self.L}")
         if (self.test_count is None) == (self.test_fraction is None):
             raise ConfigError("exactly one of test_count / test_fraction must be set")
         if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:

@@ -22,6 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .fields import GF
 
 SQRT5 = math.sqrt(5.0)
@@ -100,7 +101,7 @@ def make_error_distribution(gf: GF, partition, class_rates: Mapping[tuple[int, i
 def worst_case_distribution(gf: GF, partition, e00: float) -> ErrorDistribution:
     """Mass e00 on (0,0) and (1-e00)/(N+1) on every label equivalent to (0,1)."""
     if not 0.0 <= e00 <= 1.0:
-        raise ValueError("e00 must lie in [0, 1]")
+        raise ConfigError("e00 must lie in [0, 1]")
     cls01 = next(cls for cls in partition if (0, 1) in cls)
     return make_error_distribution(
         gf, partition, {(0, 0): e00, cls01[0]: (1.0 - e00) / (gf.N + 1)}
@@ -234,7 +235,7 @@ def thresholds(N: int) -> ThresholdTable:
     """Tolerable QER / SBMER / BER for N = 2^n."""
     n = N.bit_length() - 1
     if N < 2 or N != 1 << n:
-        raise ValueError("thresholds are only available for N = 2^n")
+        raise ConfigError("thresholds are only available for N = 2^n")
     g = (N + 1) * (SQRT5 - 2.0)
     e_qer = g / (1.0 + g)
     e_sbmer = N * e_qer / (N + 1)
@@ -265,7 +266,7 @@ def eve_ber(N: int, q: float) -> float:
     against the worst-case QER:BER accounting, q(N-1)(Nn+2)/(2Nn(N+1))."""
     n = N.bit_length() - 1
     if N != 1 << n or N < 2:
-        raise ValueError("the qubit-group attack needs N = 2^n")
+        raise ConfigError("the qubit-group attack needs N = 2^n")
     return q * (N - 1) * (N * n + 2) / (2.0 * N * n * (N + 1))
 
 
@@ -297,10 +298,10 @@ class AttackReport:
 def attack_calculus(N: int, q: float) -> AttackReport:
     """Closed-form summary of the grouped-qubit and per-qubit attacks."""
     if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+        raise ConfigError("q must lie in [0, 1]")
     n = N.bit_length() - 1
     if N != 1 << n or N < 2:
-        raise ValueError("attack calculus needs N = 2^n")
+        raise ConfigError("attack calculus needs N = 2^n")
     qp = 1.0 - ((43.0 + 68.0 * SQRT5) / 1335.0) ** 0.25
     return AttackReport(
         N=N,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvariantViolation
+from .exceptions import ConfigError, InvariantViolation
 from .fields import _TABLE_MAX, GF, _prime_divisors
 from .pauli import phase_value
 
@@ -69,7 +69,7 @@ def find_char_poly(gf: GF) -> int:
     """
     N = gf.N
     if N > _TABLE_MAX:
-        raise ValueError(f"T parameters are searched for N <= {_TABLE_MAX}, got N={N}")
+        raise ConfigError(f"T parameters are searched for N <= {_TABLE_MAX}, got N={N}")
     for c in gf.elements():
         if _y_power(gf, c, N + 1) == (1, 0) and all(
             _y_power(gf, c, (N + 1) // q) != (1, 0) for q in _prime_divisors(N + 1)
@@ -334,7 +334,7 @@ def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
     unitarity, the conjugation relation for every label, and the order
     check before it is returned."""
     if gf.N > 64:
-        raise ValueError("T construction is supported for N <= 64")
+        raise ConfigError("T construction is supported for N <= 64")
     f_table = _f_table(gf, params)
     lam = _coeffs_closure(gf, params, f_table)
     T = _assemble(gf, lam)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quditqkd import cli
+from quditqkd import cli, protocol
 
 RUN = [sys.executable, "-m", "quditqkd.cli"]
 
@@ -183,6 +183,11 @@ PINNED_REPORTS = {
     "automatic, smallest bound": (
         "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
         "f39707c7811555b6a1493949169b7cd7", (2129, 4, False)),
+    # 256 flat labels in uint8, two pool blocks; recorded while raw labels
+    # were still drawn by Generator.choice
+    "N = 16 pauli-iid": (
+        "--p 2 --n 4 --L 3000000 --channel pauli-iid --qer 0.1 --seed 3",
+        "abd9296678f97cb0e64d687dce8e4a1c", (53, 3, True)),
 }
 
 
@@ -230,6 +235,35 @@ def test_field_above_parameter_search_cap_exits_3_without_traceback():
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
+    # a ValueError below every config check is a fault of the program, not of its input
+    def broken_stage(*args):
+        raise ValueError("broken stage")
+
+    monkeypatch.setattr(protocol, "sift", broken_stage)
+    assert cli.main(["simulate", "--p", "2", "--n", "1", "--L", "1000",
+                     "--channel", "noiseless", "--seed", "1"]) == 4
+    assert capsys.readouterr().err == "internal error: ValueError('broken stage')\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--p", "2", "--n", "0..2"],
+    ["thresholds", "--p", "2", "--n", "x"],
+    ["attack", "--p", "2", "--n", "2", "--q", "1.5"],
+    ["build-t", "--p", "4", "--n", "1"],
+    ["verify", "--p", "2", "--n", "7"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "pauli-iid",
+     "--qer", "1.5", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless", "--seed", "-1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", str(2**63), "--channel", "noiseless",
+     "--seed", "1"],
+])
+def test_bad_arguments_are_config_errors(capsys, argv):
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_simulate_requires_seed():

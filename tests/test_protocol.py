@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import cached_params, cached_partition
+from conftest import PRIME_POWERS, cached_params, cached_partition
 from quditqkd import protocol
 from quditqkd.exceptions import ConfigError
 from quditqkd.fields import make_field
@@ -96,6 +96,16 @@ def test_grouped_attack_requires_p2():
         ChannelModel.grouped_qubit_attack(0.5).validate(gf)
 
 
+@pytest.mark.parametrize("bad", [-0.1, np.nan])
+def test_pauli_iid_rejects_negative_or_nan_rates(bad):
+    # the label sampler trusts the law: a negative or NaN rate would draw garbage
+    gf, _ = cached_params(2, 1)
+    rates = np.array([[0.6, 0.3], [0.2, 0.0]])
+    rates[1, 1] = bad
+    with pytest.raises(ConfigError):
+        ChannelModel("pauli-iid", label_rates=rates).validate(gf)
+
+
 def test_per_qubit_measure_probability():
     gf, _ = cached_params(2, 4)
     ch = ChannelModel.per_qubit_attack(0.3817)
@@ -130,6 +140,55 @@ def test_uint8_below_is_blind_to_the_block_size(monkeypatch):
         assert np.array_equal(protocol._uint8_below(mine, R, 1001),
                               ref.integers(0, R, size=1001, dtype=np.uint8)), R
         assert mine.integers(0, 2**62) == ref.integers(0, 2**62), R
+
+
+# ---------------------------------------------------------------
+# categorical labels
+# ---------------------------------------------------------------
+
+def _categorical_laws():
+    laws = {}
+    for p, n in PRIME_POWERS:
+        gf, _ = cached_params(p, n)
+        for e00 in (0.5, 0.9, 0.999):
+            law = worst_case_distribution(gf, cached_partition(p, n), e00).rates
+            laws[f"worst case N={gf.N} e00={e00}"] = law.ravel()
+    rng = np.random.default_rng(0)
+    for K in (2, 16, 255, 256, 1024):
+        w = rng.dirichlet(np.ones(K)) ** 3
+        w[rng.permutation(K)[: K * 3 // 10]] = 0.0
+        laws[f"Dirichlet K={K}, 30% zeros"] = w
+    # 256 labels in uint8 leave no spare sentinel value; with every label
+    # spanning whole buckets, the sentinel, the least likely label, is drawn
+    laws["Dirichlet K=256, full support"] = rng.dirichlet(np.full(256, 50.0))
+    laws["point mass"] = np.eye(16)[5]
+    tiny = np.ones(16)
+    tiny[3] = 1e-12  # cdf entries 2 and 3 share a bucket
+    laws["1e-12 entry"] = tiny
+    return {name: w / w.sum() for name, w in laws.items()}
+
+
+CATEGORICAL_LAWS = _categorical_laws()
+
+
+def _check_categorical(seed, count):
+    for name, p in CATEGORICAL_LAWS.items():
+        mine, ref = np.random.default_rng((seed, count)), np.random.default_rng((seed, count))
+        got = protocol._categorical(mine, p, np.empty(count, np.min_scalar_type(p.size - 1)))
+        assert np.array_equal(got, ref.choice(p.size, size=count, p=p)), name
+        assert mine.random() == ref.random(), name
+        assert mine.integers(0, 2**62) == ref.integers(0, 2**62), name
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 1])
+def test_categorical_matches_choice_bit_for_bit(count):
+    # the same labels as Generator.choice, and the generator left where it is
+    _check_categorical(1, count)
+
+
+def test_categorical_is_blind_to_the_block_size(monkeypatch):
+    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    _check_categorical(2, 1001)
 
 
 # ---------------------------------------------------------------
