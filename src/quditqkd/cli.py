@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -187,7 +188,9 @@ def _parse_degree_range(text: str) -> list[int]:
         degrees = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError as exc:
         raise ConfigError(f"invalid extension degree range {text!r}") from exc
-    if degrees and degrees[0] < 1:
+    if not degrees:
+        raise ConfigError(f"empty extension degree range {text!r}")
+    if degrees[0] < 1:
         raise ConfigError(f"extension degrees must be positive, got {text!r}")
     return degrees
 
@@ -276,18 +279,7 @@ def _cmd_verify(args, seed):
     top = build_T(gf, choose_M(gf, find_char_poly(gf)))
     rep = verify_T(top)
     report = _report_skeleton(args, gf, seed)
-    report["result"] = {
-        "unitarity_residual": rep.unitarity_residual,
-        "conjugation_residual": rep.conjugation_residual,
-        "order_up_to_phase": rep.order_up_to_phase,
-        "order_ok": rep.order_ok,
-        "mub_powers_checked": rep.mub_powers_checked,
-        "mub_max_deviation": rep.mub_max_deviation,
-        "mub_ok": rep.mub_ok,
-        "lambda_flatness": rep.lambda_flatness,
-        "all_ok": rep.all_ok,
-        "notes": rep.notes,
-    }
+    report["result"] = asdict(rep)
     if not rep.all_ok:
         raise InvariantViolation("verification failed: " + json.dumps(report["result"]))
     _emit(args, report)
@@ -424,21 +416,7 @@ def _cmd_attack(args, seed):
     n = _degree(args)
     rep = attack_calculus(2**n, args.q)
     report = _report_skeleton(args, make_field(2, n), seed)
-    report["result"] = {
-        "N": rep.N,
-        "q": rep.q,
-        "eve_ber_at_N": rep.eve_ber_at_N,
-        "eve_ber_at_2": rep.eve_ber_at_2,
-        "eve_ber_at_16": rep.eve_ber_at_16,
-        "q_interval": list(rep.q_interval),
-        "q_in_interval": rep.q_in_interval,
-        "sbmer_ceiling_p2": rep.sbmer_ceiling_p2,
-        "sbmer_ceiling_podd": rep.sbmer_ceiling_podd,
-        "per_qubit_q": rep.per_qubit_q,
-        "per_qubit_six_state_ber": rep.per_qubit_six_state_ber,
-        "defeats_qubit_schemes": rep.defeats_qubit_schemes,
-        "survives_at_16": rep.survives_at_16,
-    }
+    report["result"] = asdict(rep)
     _emit(args, report)
 
 

@@ -24,7 +24,8 @@ from .exceptions import ConfigError
 # Hard size cap: keeps exhaustive verification and table building cheap.
 MAX_FIELD_SIZE = 1 << 16
 
-# Full add/mul/inv tables are only materialized below this order.
+# Full add/mul tables are only materialized up to this order, as uint8:
+# every element of such a field is below 256.
 _TABLE_MAX = 256
 
 
@@ -317,7 +318,7 @@ class GF:
             if self.N > _TABLE_MAX:
                 raise ValueError(f"add_table not materialized for N={self.N} > {_TABLE_MAX}")
             digits = self.coeff_table
-            self._add_table = (((digits[:, None] + digits[None, :]) % self.p) @ self.basis).astype(np.uint16)
+            self._add_table = (((digits[:, None] + digits[None, :]) % self.p) @ self.basis).astype(np.uint8)
         return self._add_table
 
     @property
@@ -325,7 +326,7 @@ class GF:
         if self._mul_table is None:
             if self.N > _TABLE_MAX:
                 raise ValueError(f"mul_table not materialized for N={self.N} > {_TABLE_MAX}")
-            t = np.empty((self.N, self.N), dtype=np.uint16)
+            t = np.empty((self.N, self.N), dtype=np.uint8)
             for a in range(self.N):
                 for b in range(self.N):
                     t[a, b] = self._mul_raw(a, b)

@@ -343,7 +343,7 @@ def _gf_add(gf: GF, x, y, out=None, idx=None):
     idx[...] = x
     idx *= gf.N
     idx += y
-    return np.take(gf.add_table.astype(np.uint8).ravel(), idx, out=out, mode="clip")
+    return np.take(gf.add_table.ravel(), idx, out=out, mode="clip")
 
 
 def sift(gf: GF, params: SymplecticParams, set_idx, labels, s):
@@ -439,7 +439,7 @@ def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshol
 
 def locc2_ep_round(gf: GF, a, b, s, bob):
     """One purification round; register 2j controls register 2j+1."""
-    return _kernels.ep_round(a, b, s, bob, gf.add_table.astype(np.uint8))
+    return _kernels.ep_round(a, b, s, bob, gf.add_table)
 
 
 def pec_majority(gf: GF, a, b, s, bob, r: int):

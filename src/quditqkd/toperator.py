@@ -8,6 +8,10 @@ order N+1; c and M are found with GF(N) arithmetic alone.  T itself has
 order N+1 up to phase, and its powers applied to the standard basis
 generate mutually unbiased bases.
 
+M's action on labels is one cached table, conjugation_tables, built by
+iterating M and checked to have order N+1.  The label classes (the
+orbits of M), T's conjugation check and the protocol's sift all read it.
+
 Construction is verified before anything is returned: unitarity, the
 conjugation relation for every label, and the order are all checked at
 1e-10, and a T failing any of them is never handed out.
@@ -16,6 +20,7 @@ conjugation relation for every label, and the order are all checked at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -118,69 +123,49 @@ def choose_M(gf: GF, c: int) -> SymplecticParams:
     return params
 
 
-def m_power(gf: GF, params: SymplecticParams, k: int):
-    """M^k as a 2x2 tuple over GF(N); k is reduced mod N+1."""
-    k %= gf.N + 1
-    m = ((1, 0), (0, 1))
-    step = ((params.alpha, params.beta), (params.beta, params.gamma))
-    for _ in range(k):
-        m = _mat2_mul(gf, m, step)
-    return m
-
-
-def _mat2_mul(gf: GF, x, y):
-    return tuple(
-        tuple(gf.add(gf.mul(x[i][0], y[0][j]), gf.mul(x[i][1], y[1][j])) for j in range(2))
-        for i in range(2)
-    )
+@cache
+def conjugation_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N+1, N, N) tables of M^k acting on labels: (a, b) conjugated
+    by T^k is (ca[k, a, b], cb[k, a, b]).  Row 1 is M, read off the field
+    tables, and row k is M applied to row k-1.  M must have order N+1: one
+    more step after row N has to give back every label."""
+    N = gf.N
+    add, mul = gf.add_table, gf.mul_table
+    tables = np.empty((2, N + 1, N, N), dtype=np.uint8)
+    ca, cb = tables
+    A, B = np.ogrid[:N, :N]
+    ca[0], cb[0] = A, B
+    ca[1] = add[mul[params.alpha, A], mul[params.beta, B]]
+    cb[1] = add[mul[params.beta, A], mul[params.gamma, B]]
+    for k in range(2, N + 1):
+        ca[k], cb[k] = ca[1][ca[k - 1], cb[k - 1]], cb[1][ca[k - 1], cb[k - 1]]
+    if not ((ca[1][ca[N], cb[N]] == A).all() and (cb[1][ca[N], cb[N]] == B).all()):
+        raise InvariantViolation(f"M^{N + 1} is not the identity on GF({N})^2")
+    tables.flags.writeable = False
+    return tables[0], tables[1]
 
 
 def conjugate_label(gf: GF, params: SymplecticParams, label: tuple[int, int], k: int) -> tuple[int, int]:
     """M^k applied to (a, b); the phase-free orbit map."""
-    m = m_power(gf, params, k)
     a, b = label
-    return (
-        gf.add(gf.mul(m[0][0], a), gf.mul(m[0][1], b)),
-        gf.add(gf.mul(m[1][0], a), gf.mul(m[1][1], b)),
-    )
+    gf._check(a, b)
+    ca, cb = conjugation_tables(gf, params)
+    k %= gf.N + 1
+    return int(ca[k, a, b]), int(cb[k, a, b])
 
 
 def equiv_classes(gf: GF, params: SymplecticParams) -> list[tuple[tuple[int, int], ...]]:
-    """Orbits of GF(N)^2 under iteration of M, canonically sorted."""
-    seen = set()
-    classes = []
-    for a in gf.elements():
-        for b in gf.elements():
-            if (a, b) in seen:
-                continue
-            orbit = set()
-            cur = (a, b)
-            while cur not in orbit:
-                orbit.add(cur)
-                cur = conjugate_label(gf, params, cur, 1)
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
-    return classes
-
-
-def conjugation_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1, N, N) lookup tables: label (a, b) conjugated by T^k maps to
-    (conj_a[k, a, b], conj_b[k, a, b]).  Used by the protocol kernels."""
+    """Orbits of GF(N)^2 under iteration of M, canonically sorted: column
+    (a, b) of the conjugation tables is the orbit of (a, b), and labels with
+    the same smallest code a*N + b in their column share an orbit."""
     N = gf.N
-    addt, mult = gf.add_table, gf.mul_table
-    ca = np.empty((N + 1, N, N), dtype=np.uint8)
-    cb = np.empty((N + 1, N, N), dtype=np.uint8)
-    ar = np.arange(N)
-    for k in range(N + 1):
-        m = m_power(gf, params, k)
-        a_part0 = mult[ar, m[0][0]][:, None]
-        b_part0 = mult[ar, m[0][1]][None, :]
-        ca[k] = addt[a_part0, b_part0]
-        a_part1 = mult[ar, m[1][0]][:, None]
-        b_part1 = mult[ar, m[1][1]][None, :]
-        cb[k] = addt[a_part1, b_part1]
-    return ca, cb
+    ca, cb = conjugation_tables(gf, params)
+    least = np.arange(N * N)
+    for k in range(1, N + 1):
+        np.minimum(least, ca[k].ravel().astype(np.intp) * N + cb[k].ravel(), out=least)
+    order = np.argsort(least, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(least[order])) + 1)
+    return [tuple(divmod(code, N) for code in g.tolist()) for g in groups]
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +284,10 @@ def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_tab
     """max over all N^2 labels of |X_a Z_b T - omega^f(a,b) T X_a' Z_b'|, one
     row of labels (fixed a, all b) at a time.  Row u of X_a Z_b T is
     chi[b, u-a] T[u-a, :]; column v of T X_a' Z_b' is chi[b', v] T[:, a'+v]."""
-    add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
-    al, be, ga = params.alpha, params.beta, params.gamma
+    add, sub = gf.add_table, gf.sub_table
+    a_img, b_img = (t[1] for t in conjugation_tables(gf, params))
     chi = _char_table(gf)
     ph = _phase_values(gf.p, *f_table)
-    A, B = np.ogrid[:gf.N, :gf.N]
-    a_img = add[mul[al, A], mul[be, B]]
-    b_img = add[mul[be, A], mul[ga, B]]
     worst = 0.0
     for a in gf.elements():
         src = sub[:, a]

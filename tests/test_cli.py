@@ -200,6 +200,24 @@ def test_whole_report_is_pinned(capsys, path):
     assert hashlib.md5(json.dumps(res, sort_keys=True).encode()).hexdigest() == digest
 
 
+# md5 of the classes stdout, recorded while the orbits were walked label by
+# label with scalar field calls
+PINNED_CLASSES = {
+    (2, 2): "f31dc8c143c74750315ec77f6d4e16fb",
+    (3, 2): "a4ec07dc0d93d3ed2d189f91d8b2d5d5",
+    (2, 4): "58798fcdd5f24ec189fd2fd06b6faddb",
+    (3, 3): "e0970d15140faedae4925dcf7ca67d90",
+    (2, 6): "c7c19e974ef5dc0a6b399e9db2adb86c",
+    (2, 8): "8bcc1d32fff467e5c56b393df9f024e4",
+}
+
+
+@pytest.mark.parametrize("p,n", PINNED_CLASSES)
+def test_classes_report_is_pinned(capsys, p, n):
+    assert cli.main(["classes", "--p", str(p), "--n", str(n)]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == PINNED_CLASSES[p, n]
+
+
 def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     # no residual bound is derived for odd p: nothing is certified, every
     # round runs and r is the bound-free isqrt of the survivors, made odd
@@ -259,6 +277,7 @@ def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
     ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless", "--seed", "-1"],
     ["simulate", "--p", "2", "--n", "1", "--L", str(2**63), "--channel", "noiseless",
      "--seed", "1"],
+    ["thresholds", "--p", "2", "--n", "4..2"],
 ])
 def test_bad_arguments_are_config_errors(capsys, argv):
     assert cli.main(argv) == 3

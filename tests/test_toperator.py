@@ -12,14 +12,14 @@ from quditqkd.toperator import (
     _coeffs_closure,
     _conjugation_residual,
     _f_table,
-    _mat2_mul,
     _pair_correction,
     _scalar_order,
     build_T,
     choose_M,
     conjugate_label,
+    conjugation_tables,
+    equiv_classes,
     find_char_poly,
-    m_power,
     make_t_operator,
     phase_exponent_f,
     verify_T,
@@ -93,15 +93,94 @@ def test_params_are_pinned_for_every_field_up_to_256():
     assert got == PINNED_PARAMS
 
 
-@pytest.mark.parametrize("p,n", [pn for pn in PINNED_PARAMS if pn[0] ** pn[1] <= 64])
+FIELDS_TO_64 = [pn for pn in PINNED_PARAMS if pn[0] ** pn[1] <= 64]
+
+
+def m_power(gf, params, k):
+    """M^k as a 2x2 tuple over GF(N) by scalar field calls; k is reduced mod N+1."""
+    k %= gf.N + 1
+    m = ((1, 0), (0, 1))
+    step = ((params.alpha, params.beta), (params.beta, params.gamma))
+    for _ in range(k):
+        m = _mat2_mul(gf, m, step)
+    return m
+
+
+def _mat2_mul(gf, x, y):
+    return tuple(
+        tuple(gf.add(gf.mul(x[i][0], y[0][j]), gf.mul(x[i][1], y[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
+def scalar_equiv_classes(gf, params):
+    """Orbits of GF(N)^2 under M, walked label by label with scalar field calls."""
+    m = m_power(gf, params, 1)
+    seen = set()
+    classes = []
+    for a in gf.elements():
+        for b in gf.elements():
+            if (a, b) in seen:
+                continue
+            orbit = set()
+            cur = (a, b)
+            while cur not in orbit:
+                orbit.add(cur)
+                cur = (gf.add(gf.mul(m[0][0], cur[0]), gf.mul(m[0][1], cur[1])),
+                       gf.add(gf.mul(m[1][0], cur[0]), gf.mul(m[1][1], cur[1])))
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda cls: cls[0])
+    return classes
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_64)
 def test_m_has_order_exactly_n_plus_one(p, n):
     gf, params = cached_params(p, n)
     N = gf.N
-    identity = ((1, 0), (0, 1))
-    # m_power reduces its exponent mod N+1, so M^(N+1) is M^N times M
-    assert _mat2_mul(gf, m_power(gf, params, N), m_power(gf, params, 1)) == identity
+    ca, cb = conjugation_tables(gf, params)
+    A, B = np.ogrid[:N, :N]
+    # row N followed by row 1 is M^(N+1)
+    assert (ca[1][ca[N], cb[N]] == A).all() and (cb[1][ca[N], cb[N]] == B).all()
     for q in _prime_divisors(N + 1):
-        assert m_power(gf, params, (N + 1) // q) != identity
+        k = (N + 1) // q
+        assert not ((ca[k] == A).all() and (cb[k] == B).all())
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_64)
+def test_conjugation_tables_match_scalar_powers(p, n):
+    gf, params = cached_params(p, n)
+    add, mul = gf.add_table, gf.mul_table
+    A, B = np.ogrid[:gf.N, :gf.N]
+    ca, cb = conjugation_tables(gf, params)
+    assert ca.shape == cb.shape == (gf.N + 1, gf.N, gf.N)
+    for k in range(gf.N + 1):
+        m = m_power(gf, params, k)
+        assert (ca[k] == add[mul[m[0][0], A], mul[m[0][1], B]]).all()
+        assert (cb[k] == add[mul[m[1][0], A], mul[m[1][1], B]]).all()
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_64)
+def test_equiv_classes_match_scalar_walk(p, n):
+    gf, params = cached_params(p, n)
+    assert equiv_classes(gf, params) == scalar_equiv_classes(gf, params)
+
+
+def test_conjugation_tables_are_cached_and_read_only():
+    gf, params = cached_params(2, 2)
+    ca, cb = conjugation_tables(gf, params)
+    assert conjugation_tables(gf, params)[0] is ca
+    for t in (ca, cb):
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0, 0] = 1
+
+
+def test_conjugation_tables_reject_m_of_wrong_order():
+    # diag(2, 3) over GF(5) has unit determinant, but 2 has order 4, not 6
+    gf = make_field(5, 1)
+    with pytest.raises(InvariantViolation, match="not the identity"):
+        conjugation_tables(gf, SymplecticParams(2, 0, 3, 0))
+
 
 @pytest.mark.parametrize("p,n", PRIME_POWERS)
 def test_unit_determinant(p, n):
@@ -246,6 +325,14 @@ def test_conjugate_label_qutrit_half_period_negates():
             assert conjugate_label(gf, params, (a, b), 2) == (gf.neg(a), gf.neg(b))
 
 
+@pytest.mark.parametrize("label", [(4, 0), (-1, 0)])
+def test_conjugate_label_rejects_non_elements(label):
+    # a negative index would wrap round the table without an error
+    gf, params = cached_params(2, 2)
+    with pytest.raises(ValueError, match="not an element"):
+        conjugate_label(gf, params, label, 1)
+
+
 def test_conjugate_label_negative_power_inverts():
     gf, params = cached_params(2, 3)
     for a in gf.elements():
@@ -382,7 +469,8 @@ def scalar_conjugation_residual(gf, params, T, f_table):
     worst = 0.0
     for a in gf.elements():
         for b in gf.elements():
-            ap, bp = conjugate_label(gf, params, (a, b), 1)
+            ap = gf.add(gf.mul(params.alpha, a), gf.mul(params.beta, b))
+            bp = gf.add(gf.mul(params.beta, a), gf.mul(params.gamma, b))
             ph = phase_value(gf.p, int(num[a, b]), int(den[a, b]))
             src = [gf.sub(u, a) for u in gf.elements()]
             left = np.array([omega ** gf.trace(gf.mul(b, w)) for w in src])[:, None] * T[src, :]
