@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--ep-rounds", type=int)
     sim.add_argument("--pec-r", type=int)
     sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--workers", type=int, default=4, help="thread fan-out for --trials > 1")
+    sim.add_argument("--workers", type=int, default=4, help="threads for --trials > 1, at most one per CPU")
 
     atk = sub.add_parser("attack", parents=[common])
     add_field(atk)

@@ -4,7 +4,8 @@ Field elements are represented as plain integers in ``[0, p^n)`` whose
 base-p digits are the coefficients of the residue polynomial, least
 significant digit = constant term.  With the power basis {1, x, ...,
 x^(n-1)} the digit vector of an element *is* its coordinate vector, so
-two elements are equal iff their integers are equal.
+two elements are equal iff their integers are equal.  All arithmetic
+reads NumPy tables, built once per field for N <= 256.
 
 The reducing modulus is always the lexicographically smallest monic
 irreducible polynomial of the requested degree (candidates ordered by
@@ -14,18 +15,18 @@ makes every field construction deterministic.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigError
 
-# Hard size cap: keeps exhaustive verification and table building cheap.
+# Construction cap: fields above _TABLE_MAX are built only for their modulus.
 MAX_FIELD_SIZE = 1 << 16
 
-# Full add/mul tables are only materialized up to this order, as uint8:
-# every element of such a field is below 256.
+# The arithmetic tables exist only up to this order, as uint8 where they
+# hold elements: every element of such a field is below 256.
 _TABLE_MAX = 256
 
 
@@ -40,6 +41,11 @@ def _is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +151,11 @@ def _prime_divisors(n: int) -> list[int]:
 class GF:
     """The finite field GF(p^n) with deterministic modulus and power basis.
 
+    Arithmetic reads the field's tables, which exist for N <= 256: every
+    element then fits a uint8.  Larger fields (up to ``MAX_FIELD_SIZE``)
+    can be constructed for their modulus, but reading a table, and so any
+    arithmetic, on them raises ConfigError.
+
     Parameters
     ----------
     p : int
@@ -176,34 +187,6 @@ class GF:
         self.modulus = self._smallest_irreducible()
         # power basis; with n digits base p, g_i = x^(i-1) has integer p^(i-1)
         self.basis = tuple(p**i for i in range(n))
-        # x^k mod modulus for k = n .. 2n-2, as element ints (reduction folds)
-        self._xpow = [self._poly_to_int(_pmod([0] * k + [1], list(self.modulus), p)) for k in range(n, 2 * n - 1)]
-        self._add_table: Optional[np.ndarray] = None
-        self._mul_table: Optional[np.ndarray] = None
-        self._sub_table: Optional[np.ndarray] = None
-        self._trace_table: Optional[np.ndarray] = None
-
-    # -- encoding -------------------------------------------------------
-
-    def to_coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of *a*, constant coefficient first."""
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        v = 0
-        for c in reversed(list(coeffs)):
-            v = v * self.p + (c % self.p)
-        return v
-
-    def _poly_to_int(self, f: list[int]) -> int:
-        v = 0
-        for c in reversed(f):
-            v = v * self.p + c
-        return v
 
     def elements(self) -> range:
         return range(self.N)
@@ -213,51 +196,23 @@ class GF:
             if not 0 <= a < self.N:
                 raise ValueError(f"{a} is not an element of GF({self.p}^{self.n})")
 
-    # -- arithmetic -----------------------------------------------------
+    # -- arithmetic: bounds-checked table reads ---------------------------
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self.p == 2:
-            return a ^ b
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs((x + y) % self.p for x, y in zip(ca, cb))
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.p == 2:
-            return a
-        return self.from_coeffs((-c) % self.p for c in self.to_coeffs(a))
+        return int(self.sub_table[0, a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self._check(a, b)
+        return int(self.sub_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, n = self.p, self.n
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        acc = self.from_coeffs(prod[:n])
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c:
-                acc = self.add(acc, self.scalar_mul(c, self._xpow[k - n]))
-        return acc
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply element *a* by the prime-subfield scalar *c*."""
-        if self.p == 2:
-            return a if c % 2 else 0
-        return self.from_coeffs((c * x) % self.p for x in self.to_coeffs(a))
+        return int(self.mul_table[a, b])
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
@@ -283,14 +238,7 @@ class GF:
     def trace(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(n-1)), as an int in [0, p)."""
         self._check(a)
-        acc, t = 0, a
-        for _ in range(self.n):
-            acc = self.add(acc, t)
-            t = self.pow(t, self.p)
-        coeffs = self.to_coeffs(acc)
-        if any(c for c in coeffs[1:]):
-            raise AssertionError("trace left the prime subfield")
-        return coeffs[0]
+        return int(self.trace_table[a])
 
     def sqrt(self, a: int) -> Optional[int]:
         """A square root of *a*, or None if *a* is a non-residue.
@@ -299,70 +247,58 @@ class GF:
         smaller of the two under the integer element order.
         """
         self._check(a)
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return self.pow(a, 1 << (self.n - 1))
-        if self.pow(a, (self.N - 1) // 2) != 1:
-            return None
-        for b in range(1, self.N):
-            if self.mul(b, b) == a:
-                return b
-        return None  # unreachable for residues
+        roots = np.flatnonzero(self.mul_table.diagonal() == a)
+        return int(roots[0]) if roots.size else None
 
-    # -- tables (lazy; used by the numeric kernels) ----------------------
+    # -- tables: built once per field, read-only --------------------------
 
-    @property
-    def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            if self.N > _TABLE_MAX:
-                raise ValueError(f"add_table not materialized for N={self.N} > {_TABLE_MAX}")
-            digits = self.coeff_table
-            self._add_table = (((digits[:, None] + digits[None, :]) % self.p) @ self.basis).astype(np.uint8)
-        return self._add_table
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        if self._mul_table is None:
-            if self.N > _TABLE_MAX:
-                raise ValueError(f"mul_table not materialized for N={self.N} > {_TABLE_MAX}")
-            t = np.empty((self.N, self.N), dtype=np.uint8)
-            for a in range(self.N):
-                for b in range(self.N):
-                    t[a, b] = self._mul_raw(a, b)
-            self._mul_table = t
-        return self._mul_table
-
-    @property
-    def sub_table(self) -> np.ndarray:
-        if self._sub_table is None:
-            self._sub_table = self.add_table[:, [self.neg(a) for a in range(self.N)]]
-        return self._sub_table
-
-    @property
+    @cached_property
     def coeff_table(self) -> np.ndarray:
         """(N, n) base-p digits of every element, constant coefficient first."""
-        return (np.arange(self.N)[:, None] // np.array(self.basis)) % self.p
+        if self.N > _TABLE_MAX:
+            raise ConfigError(f"GF({self.N}) arithmetic is tabulated only for N <= {_TABLE_MAX}")
+        return _frozen((np.arange(self.N)[:, None] // np.array(self.basis)) % self.p)
 
-    @property
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        digits = self.coeff_table
+        return _frozen((((digits[:, None] + digits[None, :]) % self.p) @ self.basis).astype(np.uint8))
+
+    @cached_property
+    def sub_table(self) -> np.ndarray:
+        """a - b at [a, b]: row 0 is the negation of every element."""
+        neg = (-self.coeff_table % self.p) @ self.basis
+        return _frozen(self.add_table[:, neg])
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """The digit vectors multiplied as polynomials, with each x^k of
+        degree k >= n folded back in by the digits of x^k mod the modulus."""
+        p, n, digits = self.p, self.n, self.coeff_table
+        prod = np.zeros((self.N, self.N, 2 * n - 1), dtype=np.intp)
+        for i in range(n):
+            prod[:, :, i : i + n] += digits[:, None, i, None] * digits[None, :, :]
+        fold = np.zeros((n - 1, n), dtype=np.intp)  # row k - n: digits of x^k mod the modulus
+        for k in range(n, 2 * n - 1):
+            rem = _pmod([0] * k + [1], list(self.modulus), p)
+            fold[k - n, : len(rem)] = rem
+        coeffs = (prod[..., :n] + prod[..., n:] @ fold) % p
+        return _frozen((coeffs @ self.basis).astype(np.uint8))
+
+    @cached_property
     def trace_table(self) -> np.ndarray:
-        """Tr(a) for every element a, from the linearity of the trace."""
-        if self._trace_table is None:
-            basis_tr = np.array([self.trace(g) for g in self.basis])
-            self._trace_table = (self.coeff_table @ basis_tr) % self.p
-        return self._trace_table
+        """Tr(a) for every element a, as the trace of multiplication by a:
+        the sum over j of digit j of a * x^j, mod p."""
+        digits, mul = self.coeff_table, self.mul_table
+        cols = [digits[mul[:, g], j] for j, g in enumerate(self.basis)]
+        return _frozen(np.sum(cols, axis=0) % self.p)
 
     # -- misc -------------------------------------------------------------
 
     def _smallest_irreducible(self) -> tuple[int, ...]:
         p, n = self.p, self.n
         for idx in range(p**n):
-            low = []
-            v = idx
-            for _ in range(n):
-                low.append(v % p)
-                v //= p
-            cand = low + [1]
+            cand = [idx // p**i % p for i in range(n)] + [1]
             if _is_irreducible(cand, p):
                 return tuple(cand)
         raise AssertionError("no irreducible polynomial found")  # cannot happen

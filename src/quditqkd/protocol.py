@@ -46,6 +46,7 @@ the orders AAB/ABA/BAA 4/3/3 times.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -285,6 +286,10 @@ class ProtocolConfig:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.test_count is not None and self.test_count < 1:
             raise ConfigError("test_count must be positive")
+        if not 0.0 <= self.delta < 1.0:  # NaN fails too
+            raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
+        if not 0.0 < self.epsilon_i < 1.0:
+            raise ConfigError(f"epsilon_i must lie in (0, 1), got {self.epsilon_i}")
         thr = self.resolved_abort_threshold()
         if not 0.0 < thr < 1.0:
             raise ConfigError("abort threshold must lie in (0, 1)")
@@ -634,8 +639,10 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 def run_trials(config: ProtocolConfig, channel: ChannelModel, trials: int,
                workers: int = 1) -> list[SimReport]:
-    """Independent protocol trials with per-trial derived seeds."""
+    """Independent protocol trials with per-trial derived seeds, on at most
+    one thread per CPU, since each thread holds a live pool."""
     configs = [replace(config, rng_seed=trial_seed(config.rng_seed, i)) for i in range(trials)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [run_protocol(c, channel) for c in configs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -59,7 +59,7 @@ class ErrorDistribution:
                 if max(vals) - min(vals) > 1e-12:
                     raise ValueError("class symmetry violated on a fresh distribution")
         # central symmetry holds for fresh and EP-evolved alike
-        neg = (-gf.coeff_table % gf.p) @ gf.basis
+        neg = gf.sub_table[0]
         if (np.abs(self.rates - self.rates[np.ix_(neg, neg)]) > 1e-12).any():
             raise ValueError("central symmetry e_ab = e_{-a,-b} violated")
 

@@ -235,7 +235,7 @@ def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray,
     N, p = gf.N, gf.p
     add, mul, sub, tr = gf.add_table, gf.mul_table, gf.sub_table, gf.trace_table
     al, be, ga = params.alpha, params.beta, params.gamma
-    det = gf.sub(gf.scalar_mul(2, 1), gf.add(al, ga))  # det(M - I) = 2-alpha-gamma
+    det = gf.sub(gf.add(1, 1), gf.add(al, ga))  # det(M - I) = 2-alpha-gamma
     dinv = gf.inv(det)
     i00, i01 = gf.mul(dinv, gf.sub(ga, 1)), gf.neg(gf.mul(dinv, be))
     i11 = gf.mul(dinv, gf.sub(al, 1))

@@ -26,6 +26,11 @@ def _load(name, monkeypatch):
     return module
 
 
+def test_scalar_field_methods_the_benchmark_counts_exist():
+    for name in ("add", "sub", "mul", "pow", "trace"):
+        assert callable(vars(fields.GF)[name]), name
+
+
 def test_benchmark_instrumentation_wraps_and_restores(monkeypatch):
     run, spans = _load("run", monkeypatch), _load("spans", monkeypatch)
     originals = (cli.main, protocol.pec_majority, _kernels.group_sums, fields.GF.mul)

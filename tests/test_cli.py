@@ -255,6 +255,12 @@ def test_field_above_parameter_search_cap_exits_3_without_traceback():
     assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
+def test_attack_above_the_table_cap_reports_its_modulus(capsys):
+    # GF(4096) has no arithmetic tables, but the attack report needs only its modulus
+    assert cli.main(["attack", "--p", "2", "--n", "12", "--q", "0.84"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "ef99afb6d04faf076376f6416de14897"
+
+
 def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
     # a ValueError below every config check is a fault of the program, not of its input
     def broken_stage(*args):
@@ -278,6 +284,15 @@ def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
     ["simulate", "--p", "2", "--n", "1", "--L", str(2**63), "--channel", "noiseless",
      "--seed", "1"],
     ["thresholds", "--p", "2", "--n", "4..2"],
+    # NaN and out-of-range values fall through every later comparison
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
+     "--epsilon-i", "nan", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
+     "--epsilon-i", "-1", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
+     "--delta", "nan", "--abort-threshold", "0.3", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
+     "--delta", "-0.5", "--abort-threshold", "0.3", "--seed", "1"],
 ])
 def test_bad_arguments_are_config_errors(capsys, argv):
     assert cli.main(argv) == 3

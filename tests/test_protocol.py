@@ -663,6 +663,34 @@ def test_run_trials_parallel_matches_serial():
         assert r1.to_dict() == r2.to_dict()
 
 
+def test_run_trials_caps_threads_at_cpu_count(monkeypatch):
+    # a recording stand-in for the executor: no thread is started
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", Recorder)
+    cfg = make_config(2, 1, L=30_000)
+    serial = run_trials(cfg, ChannelModel.noiseless(), 3, workers=1)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    capped = run_trials(cfg, ChannelModel.noiseless(), 3, workers=10_000)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
+    unknown = run_trials(cfg, ChannelModel.noiseless(), 3, workers=10_000)
+    assert seen == [2]  # None counts as one CPU: no pool at all
+    assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial] == [r.to_dict() for r in unknown]
+
+
 # ---------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------
@@ -676,6 +704,13 @@ def test_config_p_odd_needs_threshold():
     cfg = make_config(3, 1)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("kw", [dict(delta=float("nan")), dict(delta=-0.5), dict(delta=1.0),
+                                dict(epsilon_i=float("nan")), dict(epsilon_i=0.0), dict(epsilon_i=1.0)])
+def test_config_rejects_delta_and_epsilon_outside_their_ranges(kw):
+    with pytest.raises(ConfigError):
+        make_config(2, 1, abort_threshold=0.3, **kw).validate()
 
 
 def test_config_rejects_even_r():

@@ -382,7 +382,7 @@ def explicit_phi_tables(gf, params):
     """phi_1 and phi_2 of the explicit coefficient formula, indexed [a, b]."""
     al, be, ga = params.alpha, params.beta, params.gamma
     add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
-    two = gf.scalar_mul(2, 1)
+    two = gf.add(1, 1)
     t2 = gf.sub(two, gf.add(al, ga))  # 2 - alpha - gamma, nonzero
     dinv = gf.inv(gf.mul(t2, t2))
     g1 = gf.sub(ga, 1)
@@ -393,7 +393,7 @@ def explicit_phi_tables(gf, params):
     c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
     c_b2 = gf.mul(be, gf.add(gf.mul(gf.mul(al, ga), a1), g1))
     # coefficients inside phi_2
-    d_sym = gf.sub(gf.add(al, ga), gf.scalar_mul(2, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
+    d_sym = gf.sub(gf.add(al, ga), gf.mul(two, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
     A, B = np.ogrid[:gf.N, :gf.N]
     aa, bb, ab = mul[A, A], mul[B, B], mul[A, B]
     phi1 = mul[dinv, add[add[mul[c_a2, aa], mul[c_ab, ab]], mul[c_b2, bb]]]
