@@ -15,10 +15,13 @@ Binomial(L, 1/(N+1)) and set indices uniformly, which has exactly the
 law of simulating all L transmissions and discarding the mismatches.
 The pool's uniform 8-bit variates (set index, Alice's value, twirl
 phase) come from _uint8_below: NumPy's own rule for
-Generator.integers(..., dtype=np.uint8), vectorised over bulk 32-bit
-outputs.  It gives the same variates and leaves the generator in the
-same state, so reports for a fixed seed are byte-identical to drawing
-them with Generator.integers.  Likewise pauli-iid raw labels come from
+Generator.integers(..., dtype=np.uint8), vectorised over the 32-bit
+halves of the bit generator's raw 64-bit outputs (_raw_u32).  It gives
+the same variates and leaves the generator in the same state, so reports
+for a fixed seed are byte-identical to drawing them with
+Generator.integers.  The twirl channels' measured mask compares each
+block's doubles, drawn into one reused buffer, with q in place in the
+label array.  Likewise pauli-iid raw labels come from
 _categorical: Generator.choice's inverse-CDF map, applied to the same
 doubles, with a bucket table answering most of them without choice's
 binary search; the labels and the generator state afterwards are
@@ -27,11 +30,11 @@ Generator.choice.
 
 run_protocol calls the stages in order, on plain arrays; the first three
 walk the pool _BLOCK registers at a time.  sample_raw_labels draws the
-flat raw labels; sift conjugates them into (a, b), sets Bob's value s + a
-and counts each set per block; estimate_qer sacrifices the test picks and
-removes them from (a, b, s, bob) in place, leaving the untested registers
-packed at the front; locc2_ep_round runs once per purification round;
-pec_majority extracts the key digits.
+flat raw labels; sift conjugates them into (a, b) and counts each set per
+block; estimate_qer sacrifices the test picks and removes them from
+(a, b, s) in place, leaving the untested registers packed at the front;
+run_protocol then sets Bob's value s + a on those alone; locc2_ep_round
+runs once per purification round; pec_majority extracts the key digits.
 
 No stage shuffles the pool.  Every channel is i.i.d. per particle, and
 testing takes uniform picks from each set blind to labels, so the
@@ -146,12 +149,25 @@ class ChannelModel:
         return 0.0
 
 
-def _fill(out: np.ndarray, draw) -> np.ndarray:
-    """Fill *out* from draw(size) a block at a time; float draws give the
-    same stream in blocks as in one call."""
-    for start in range(0, out.size, _BLOCK):
-        blk = out[start : start + _BLOCK]
-        blk[...] = draw(blk.size)
+def _raw_u32(rng: np.random.Generator, k: int) -> np.ndarray:
+    """rng.integers(0, 2**32, size=k, dtype=np.uint32), bit for bit, leaving
+    rng in the same state, read from the bit generator's raw 64-bit outputs.
+    NumPy takes each 32-bit output as the low half of a fresh 64-bit one and
+    buffers the high half (state has_uint32, uinteger) for the next 32-bit
+    draw, rng.choice's included: a half buffered on entry comes first, and
+    an odd count of the k' still needed leaves the last high half buffered."""
+    bg = rng.bit_generator
+    state = bg.state
+    head = min(k, state["has_uint32"])
+    raw = bg.random_raw(-(-(k - head) // 2)).astype("<u8", copy=False).view("<u4")
+    out = raw[: k - head]
+    if head:
+        out = np.concatenate((np.array([state["uinteger"]], out.dtype), out))
+    if k:
+        state = bg.state
+        state["has_uint32"] = (k - head) % 2
+        state["uinteger"] = int(raw[-1]) if raw.size else state["uinteger"]
+        bg.state = state
     return out
 
 
@@ -169,25 +185,24 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
     rest of its last output.  The rule is an exact uniform sampler whatever
     NumPy's own algorithm, so the law of the draws never depends on it.
     """
-    out = np.zeros(count, np.uint8)
     if R == 1:
-        return out  # NumPy draws nothing for a single value
+        return np.zeros(count, np.uint8)  # NumPy draws nothing for a single value
+    out = np.empty(count, np.uint8)
     threshold = (256 - R) % R  # 0 when R divides 256: nothing is rejected
     shift = 9 - R.bit_length()  # m >> 8 = byte >> shift when R = 2^(8 - shift)
     filled = 0
     while filled < count:
-        raw = rng.integers(0, 2**32, size=-(-min(count - filled, _BLOCK) // 4), dtype=np.uint32)
-        byte = raw.astype("<u4", copy=False).view(np.uint8)
+        byte = _raw_u32(rng, -(-min(count - filled, _BLOCK) // 4)).view(np.uint8)
         if threshold == 0:
-            vals = byte >> shift
+            vals = byte[: count - filled]
+            np.right_shift(vals, shift, out=out[filled : filled + vals.size])
         else:
             m = byte.astype(np.uint16)
             m *= R
             keep = m.astype(np.uint8) >= threshold  # m & 255
             m >>= 8
-            vals = m.astype(np.uint8)[keep]
-        vals = vals[: count - filled]
-        out[filled : filled + vals.size] = vals
+            vals = m.astype(np.uint8)[keep][: count - filled]
+            out[filled : filled + vals.size] = vals
         filled += vals.size
     return out
 
@@ -245,7 +260,12 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
         return _categorical(rng, p, np.empty(count, dtype))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
-    out = _fill(np.empty(count, dtype), lambda m: rng.random(m) < q)  # 1 where measured
+    out = np.empty(count, dtype)
+    u = np.empty(min(_BLOCK, count))  # each block's doubles, as rng.random(count) draws them
+    for start in range(0, count, _BLOCK):
+        blk = out[start : start + _BLOCK]
+        ub = rng.random(out=u[: blk.size])
+        np.less(ub, q, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
     out *= _uint8_below(rng, N, count)
     return out
 
@@ -337,33 +357,36 @@ class SimReport:
 # Stage operations (also exposed for direct testing)
 # ----------------------------------------------------------------------
 
-def _gf_add(gf: GF, x, y, out=None, idx=None):
+def _gf_add(gf: GF, x, y, out=None):
     """x + y over GF(N).  For p = 2 this is the XOR of the n-bit encodings.
-    Otherwise it is one flat lookup of the uint8 add table at x*N + y,
-    built in the intp buffer *idx* (a new one if None); every index is in
-    range by construction, and mode="clip" writes to out unbuffered."""
+    Otherwise it is a flat lookup of the uint8 add table at x*N + y, a _BLOCK
+    at a time through one intp index buffer; every index is in range by
+    construction, and mode="clip" writes to out unbuffered."""
     if gf.p == 2:
         return np.bitwise_xor(x, y, out=out)
-    idx = np.empty(x.size, np.intp) if idx is None else idx
-    idx[...] = x
-    idx *= gf.N
-    idx += y
-    return np.take(gf.add_table.ravel(), idx, out=out, mode="clip")
+    out = np.empty(x.size, np.uint8) if out is None else out
+    buf = np.empty(min(_BLOCK, x.size), np.intp)
+    for start in range(0, x.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        idx = buf[: x[blk].size]
+        np.multiply(x[blk], gf.N, out=idx, dtype=np.intp)
+        idx += y[blk]
+        np.take(gf.add_table.ravel(), idx, out=out[blk], mode="clip")
+    return out
 
 
-def sift(gf: GF, params: SymplecticParams, set_idx, labels, s):
+def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     """Conjugate each sifted register's flat raw label (from sample_raw_labels)
-    into the computational frame of its set's power and set Bob's value
-    s + a, a block at a time.
+    into the computational frame of its set's power, a block at a time.
 
-    Returns (a, b, bob, block_sizes, post_sift_label_counts): the effective
-    spin and phase labels, Bob's value, the size of each set within each
-    _BLOCK of the pool (shape (blocks, N+1); the column sums are the set
-    sizes) and the count of each label a*N + b.
+    Returns (a, b, block_sizes, post_sift_label_counts): the effective spin
+    and phase labels, the size of each set within each _BLOCK of the pool
+    (shape (blocks, N+1); the column sums are the set sizes) and the count of
+    each label a*N + b.  run_protocol sets Bob's value s + a after testing.
     """
     N = gf.N
     ca, cb = conjugation_tables(gf, params)
-    a, b, bob = (np.empty(set_idx.size, np.uint8) for _ in range(3))
+    a, b = np.empty(set_idx.size, np.uint8), np.empty(set_idx.size, np.uint8)
     raw_counts = np.zeros((N + 1) * N * N, np.intp)
     block_sizes = np.empty((-(-set_idx.size // _BLOCK), N + 1), np.intp)
     # one intp index buffer, so neither np.take nor bincount copies an index
@@ -379,10 +402,9 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels, s):
         cnt = np.bincount(idx, minlength=(N + 1) * N * N)
         block_sizes[j] = cnt.reshape(N + 1, N * N).sum(axis=1)
         raw_counts += cnt
-        _gf_add(gf, s[blk], a[blk], out=bob[blk], idx=idx)
     codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
     counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
-    return a, b, bob, block_sizes, counts
+    return a, b, block_sizes, counts
 
 
 @dataclass
@@ -399,9 +421,10 @@ def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshol
     estimate the per-set disagreement rates and the QER upper bound.
     Set sizes are random, so a set smaller than its test count aborts.
 
-    *pool* is (a, b, s, bob) from sift; the tested registers are removed
-    from all four arrays in place, keeping pool order, and the first
-    EstimateResult.kept entries of each are the untested registers.
+    *pool* is (a, b, s): sift's labels and Alice's values; run_protocol sets
+    Bob's value afterwards, on the untested registers alone.  The tested
+    registers are removed from all three arrays in place, keeping pool
+    order, and the first EstimateResult.kept entries of each are untested.
     """
     picks = []
     for i, (size, want) in enumerate(zip(block_sizes.sum(axis=0).tolist(), test_counts.tolist())):
@@ -543,8 +566,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
     set_idx = _uint8_below(rng, N + 1, n_sift)
     s = _uint8_below(rng, N, n_sift)
-    a, b, bob, block_sizes, sift_counts = sift(gf, params, set_idx,
-                                               sample_raw_labels(channel, gf, n_sift, rng), s)
+    a, b, block_sizes, sift_counts = sift(gf, params, set_idx,
+                                          sample_raw_labels(channel, gf, n_sift, rng))
     set_sizes = block_sizes.sum(axis=0)
     spin_counts = sift_counts.reshape(N, N).sum(axis=1)
     sbmer = float((n_sift - spin_counts[0]) / n_sift) if n_sift else 0.0
@@ -573,7 +596,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         test_counts = np.floor(set_sizes * config.test_fraction).astype(int)
         test_counts = np.maximum(test_counts, 1)
     threshold = config.resolved_abort_threshold()
-    est = estimate_qer(gf, set_idx, block_sizes, (a, b, s, bob), test_counts, threshold, rng)
+    est = estimate_qer(gf, set_idx, block_sizes, (a, b, s), test_counts, threshold, rng)
     del set_idx
     report.e_hats = est.e_hats
     report.qer_estimate = est.qer_estimate
@@ -582,7 +605,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         report.abort_reason = est.abort_reason
         return report
 
-    a, b, s, bob = (v[: est.kept] for v in (a, b, s, bob))
+    a, b, s = (v[: est.kept] for v in (a, b, s))
+    bob = _gf_add(gf, s, a)  # Bob's value, for the untested registers only
 
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta

@@ -288,8 +288,7 @@ def test_acceptance_8_intercept_resend_ceiling():
         bp = rng.integers(0, N + 1, L, dtype=np.uint8)
         raw_b = rng.integers(0, N, L, dtype=np.uint8)  # full measurement twirl
         kept = ap == bp  # raw spin label is 0, so the flat label a*N + b is raw_b
-        s = np.zeros(kept.sum(), dtype=np.uint8)  # key digits play no part here
-        eff_a, _, _, _, _ = sift(gf, params, ap[kept], raw_b[kept], s)
+        eff_a, _, _, _ = sift(gf, params, ap[kept], raw_b[kept])
         emp = float((eff_a != 0).mean())
         want = (N - 1) / (N + 1) if p == 2 else (N - 1) ** 2 / (N * (N + 1))
         sigma = np.sqrt(want * (1 - want) / eff_a.size)

@@ -76,18 +76,38 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
     rng = np.random.default_rng(9)
     n_sift = int(rng.binomial(cfg.L, 1.0 / (N + 1)))
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
-    s = rng.integers(0, N, size=n_sift, dtype=np.uint8)  # key digits
+    rng.integers(0, N, size=n_sift, dtype=np.uint8)  # Alice's key digits, drawn before the labels
     lab = sample_raw_labels(ch, gf, n_sift, rng)
-    eff_a, eff_b, bob, block_sizes, counts = sift(gf, params, set_idx, lab, s)
+    eff_a, eff_b, block_sizes, counts = sift(gf, params, set_idx, lab)
     ca, cb = conjugation_tables(gf, params)
     assert (eff_a == ca[set_idx, lab // N, lab % N]).all()
     assert (eff_b == cb[set_idx, lab // N, lab % N]).all()
-    assert (bob == gf.add_table[s, eff_a]).all()
     assert rep.n_sifted == n_sift
     set_sizes = block_sizes.sum(axis=0)
     assert rep.set_sizes == set_sizes.tolist() == np.bincount(set_idx, minlength=N + 1).tolist()
     want = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
     assert rep.post_sift_label_counts == counts.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 4), (17, 1), (2, 5), (3, 1)])
+@pytest.mark.parametrize("noiseless", [False, True], ids=["pauli-iid", "noiseless"])
+def test_bob_value_enters_round_one_as_s_plus_a(monkeypatch, p, n, noiseless):
+    # Bob's value is set after testing: every untested register carries s + a
+    gf, _ = cached_params(p, n)
+    ch = (ChannelModel.noiseless() if noiseless else
+          ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), 0.8)))
+    entered, ep_round = [], protocol.locc2_ep_round  # copies of each round's input pool
+    monkeypatch.setattr(protocol, "locc2_ep_round", lambda gf_, *pool: (
+        entered.append([v.copy() for v in pool]) or ep_round(gf_, *pool)))
+    rep = run_protocol(make_config(p, n, L=200_000, rng_seed=9, abort_threshold=0.5, ep_rounds=1,
+                                   pec_r=1), ch)
+    a, b, s, bob = entered[0]
+    assert not rep.aborted
+    assert a.size == b.size == s.size == bob.size == rep.n_sifted - sum(
+        max(1, int(c * 0.01)) for c in rep.set_sizes)
+    assert (bob == gf.add_table[s, a]).all()
+    if noiseless:
+        assert not a.any() and (bob == s).all()
 
 
 def test_grouped_attack_requires_p2():
@@ -140,6 +160,83 @@ def test_uint8_below_is_blind_to_the_block_size(monkeypatch):
         assert np.array_equal(protocol._uint8_below(mine, R, 1001),
                               ref.integers(0, R, size=1001, dtype=np.uint8)), R
         assert mine.integers(0, 2**62) == ref.integers(0, 2**62), R
+
+
+def _buffered_pair(seed):
+    """Two equal generators that each hold a buffered 32-bit half."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for g in pair:
+        g.integers(0, 2**32, dtype=np.uint32)
+    return pair
+
+
+def _assert_same_stream_after(mine, ref):
+    # a buffered half (read by 32-bit draws, choice's Lemire path included)
+    # and the 64-bit stream both continue where NumPy's own draw left them
+    assert mine.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(mine.integers(0, 2**32, size=3, dtype=np.uint32),
+                          ref.integers(0, 2**32, size=3, dtype=np.uint32))
+    assert np.array_equal(mine.choice(10**6, 5, replace=False), ref.choice(10**6, 5, replace=False))
+    assert mine.random() == ref.random()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+def test_raw_u32_matches_integers_bit_for_bit(buffered):
+    for k in (0, 1, 2, 3, 4, 1001):
+        mine, ref = _buffered_pair(k) if buffered else (np.random.default_rng(k),
+                                                        np.random.default_rng(k))
+        got = protocol._raw_u32(mine, k)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, ref.integers(0, 2**32, size=k, dtype=np.uint32)), k
+        _assert_same_stream_after(mine, ref)
+
+
+# 32-bit outputs used when R divides 256: ceil(count / 4), odd and even on
+# each side of a block edge
+@pytest.mark.parametrize("count", [1, 5, B - 4, B - 1, B, B + 1, B + 5, 3 * B + 1])
+def test_uint8_below_from_a_buffered_half(count):
+    for R in (1, 2, 3, 7, 16, 17, 100, 128, 255, 256):
+        mine, ref = _buffered_pair((R, count))
+        got = protocol._uint8_below(mine, R, count)
+        assert np.array_equal(got, ref.integers(0, R, size=count, dtype=np.uint8)), R
+        _assert_same_stream_after(mine, ref)
+
+
+# ---------------------------------------------------------------
+# twirl labels
+# ---------------------------------------------------------------
+
+def _twirl_channels(q):
+    # per-qubit-attack is measured with probability 1 - (1 - q)^n
+    return (ChannelModel.grouped_qubit_attack(q), ChannelModel.intercept_resend(q),
+            ChannelModel.per_qubit_attack(q))
+
+
+def _check_twirl(N, count):
+    gf = make_field(2, N.bit_length() - 1)
+    dtype = np.min_scalar_type(N * N - 1)  # uint16 at N = 32
+    for q in (0.0, 0.84, 1.0):
+        for ch in _twirl_channels(q):
+            mine, ref = np.random.default_rng((N, count)), np.random.default_rng((N, count))
+            got = sample_raw_labels(ch, gf, count, mine)
+            mask = ref.random(count) < ch.measure_probability(gf)
+            want = (mask * ref.integers(0, N, count, dtype=np.uint8)).astype(dtype)
+            assert got.dtype == dtype and np.array_equal(got, want), (ch.kind, q)
+            assert mine.bit_generator.state == ref.bit_generator.state, (ch.kind, q)
+            assert mine.random() == ref.random()
+
+
+@pytest.mark.parametrize("N", [2, 16, 32])
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 1])
+def test_twirl_labels_match_reference_bit_for_bit(N, count):
+    # the in-place mask: rng.random's doubles below q, times the uniform phase
+    _check_twirl(N, count)
+
+
+@pytest.mark.parametrize("N", [2, 16, 32])
+def test_twirl_labels_are_blind_to_the_block_size(monkeypatch, N):
+    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    _check_twirl(N, 1001)
 
 
 # ---------------------------------------------------------------
@@ -206,10 +303,24 @@ def test_gf_add_matches_add_table(p, n):
     x, y = (v.ravel().astype(np.uint8) for v in np.indices((gf.N, gf.N)))
     want = gf.add_table[x, y]
     assert (protocol._gf_add(gf, x, y) == want).all()
-    # into a slice of a longer array with an index buffer, as sift writes Bob's value
+    # into a slice of a longer array
     out = np.zeros(x.size + 3, np.uint8)
-    protocol._gf_add(gf, x, y, out=out[1:-2], idx=np.empty(x.size, np.intp))
+    protocol._gf_add(gf, x, y, out=out[1:-2])
     assert (out[1:-2] == want).all() and not out[[0, -2, -1]].any()
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in FIELDS_TO_256 if p**n <= 32])
+def test_gf_add_walks_the_input_block_by_block(monkeypatch, p, n):
+    # odd p looks the sums up a _BLOCK at a time: N^2 pairs span several
+    # blocks of 7, the last one partial when 7 does not divide N^2
+    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    gf = make_field(p, n)
+    x, y = (v.ravel().astype(np.uint8) for v in np.indices((gf.N, gf.N)))
+    want = gf.add_table[x, y]
+    assert (protocol._gf_add(gf, x, y) == want).all()
+    out = np.zeros(x.size + 3, np.uint8)
+    protocol._gf_add(gf, x[1:], y[1:], out=out[2:-2])
+    assert (out[2:-2] == want[1:]).all() and not out[[0, 1, -2, -1]].any()
 
 
 def test_sift_all_matching_powers():
@@ -217,11 +328,9 @@ def test_sift_all_matching_powers():
     n = 1000
     powers = np.full(n, 2, dtype=np.uint8)
     raw = np.zeros(n, dtype=np.uint8)
-    s = np.arange(n, dtype=np.uint8) % gf.N
-    eff_a, eff_b, bob, block_sizes, _ = sift(gf, params, powers, raw * gf.N + raw, s)
+    eff_a, eff_b, block_sizes, _ = sift(gf, params, powers, raw * gf.N + raw)
     assert eff_a.size == n and block_sizes.sum(axis=0).tolist() == [0, 0, n]
     assert not eff_a.any() and not eff_b.any()
-    assert (bob == s).all()
 
 
 def test_sift_retention_statistics():
@@ -241,7 +350,7 @@ def test_sift_conjugates_labels():
     set_idx = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)
     raw_a = np.zeros(n, dtype=np.uint8)
     raw_b = np.array([0, 1, 1, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-    eff_a, _, _, _, _ = sift(gf, params, set_idx, raw_a * gf.N + raw_b, np.zeros(n, np.uint8))
+    eff_a, _, _, _ = sift(gf, params, set_idx, raw_a * gf.N + raw_b)
     assert not eff_a[set_idx == 0].any()
     assert (eff_a[(set_idx != 0) & (raw_b != 0)] != 0).all()
 
@@ -273,7 +382,7 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
     k = np.arange(n)
     set_idx[np.isin(k % 7, (0, 6)) | np.isin(k % 64, (0, 63)) | (k == n - 1)] = 2
     eff_a = rng.integers(0, 4, n, dtype=np.uint8)
-    pool = (eff_a, *rng.integers(0, 4, (3, n), dtype=np.uint8))  # (a, b, s, bob)
+    pool = (eff_a, *rng.integers(0, 4, (2, n), dtype=np.uint8))  # (a, b, s)
     want_pool = [v.copy() for v in pool]
     sizes = np.bincount(set_idx, minlength=5)
     test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
@@ -559,7 +668,8 @@ def test_multi_block_report_is_pinned():
 
 
 def test_peak_memory_per_sifted_register():
-    # traced (NumPy-reported) peak of one N=16 grouped-attack run
+    # traced (NumPy-reported) peak of one N=16 grouped-attack run: 6.40 B with
+    # Bob's value set after testing, 7.40 B when sift set it for every register
     cfg = n16_grouped_attack_config()
     tracemalloc.start()
     try:
@@ -568,7 +678,7 @@ def test_peak_memory_per_sifted_register():
     finally:
         tracemalloc.stop()
     assert not rep.aborted and rep.keys_match
-    assert peak / rep.n_sifted <= 18.0
+    assert peak / rep.n_sifted <= 7.0
 
 
 def _traced_peak(L):
@@ -587,11 +697,11 @@ def _traced_peak(L):
 
 def test_peak_memory_slope_per_sifted_register():
     # the difference of two pool sizes cancels the fixed per-block buffers;
-    # the sift's six byte arrays give 5.97 B, and one more sifted-pool byte
-    # array reads 6.97 B
+    # the sift's five byte arrays (set index, Alice's value, raw label, a, b)
+    # give 4.98 B, and one more sifted-pool byte array reads 5.98 B
     peak1, n1 = _traced_peak(15_000_000)
     peak2, n2 = _traced_peak(30_000_000)
-    assert (peak2 - peak1) / (n2 - n1) <= 6.5
+    assert (peak2 - peak1) / (n2 - n1) <= 5.5
 
 
 @pytest.mark.parametrize("p,n,kind,block", [
