@@ -49,8 +49,6 @@ from .toperator import (
     conjugate_label,
     equiv_classes,
     find_char_poly,
-    make_t_operator,
-    phase_exponent_f,
     verify_T,
 )
 
@@ -67,9 +65,7 @@ __all__ = [
     "VerificationReport",
     "find_char_poly",
     "choose_M",
-    "phase_exponent_f",
     "build_T",
-    "make_t_operator",
     "conjugate_label",
     "equiv_classes",
     "verify_T",

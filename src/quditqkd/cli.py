@@ -349,6 +349,13 @@ def _make_channel(args, gf) -> ChannelModel:
     return ChannelModel.per_qubit_attack(args.q_prime)
 
 
+# the simulate report's config, null where unset (--workers cannot change results)
+_SIM_CONFIG_KEYS = (
+    "L", "channel", "qer", "q", "q_prime", "test_count", "test_fraction", "delta",
+    "epsilon_i", "abort_threshold", "ep_rounds_max", "ep_rounds", "pec_r", "trials",
+)
+
+
 def _cmd_simulate(args, seed):
     for name in ("trials", "workers"):
         if getattr(args, name) < 1:
@@ -358,8 +365,6 @@ def _cmd_simulate(args, seed):
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     gf = make_field(args.p, _degree(args))
-    if args.test_count is None and args.test_fraction is None:
-        args.test_fraction = 0.01
     config = ProtocolConfig(
         gf=gf,
         L=args.L,
@@ -375,22 +380,7 @@ def _cmd_simulate(args, seed):
     )
     channel = _make_channel(args, gf)
     report = _report_skeleton(args, gf, seed)
-    report["config"] = {
-        "L": args.L,
-        "channel": args.channel,
-        "qer": args.qer,
-        "q": args.q,
-        "q_prime": args.q_prime,
-        "test_count": args.test_count,
-        "test_fraction": args.test_fraction,
-        "delta": args.delta,
-        "epsilon_i": args.epsilon_i,
-        "abort_threshold": args.abort_threshold,
-        "ep_rounds_max": args.ep_rounds_max,
-        "ep_rounds": args.ep_rounds,
-        "pec_r": args.pec_r,
-        "trials": args.trials,
-    }
+    report["config"] = {k: getattr(args, k) for k in _SIM_CONFIG_KEYS}
     if args.trials == 1:
         report["result"] = run_protocol(config, channel).to_dict()
         rows = [_sim_csv_row(report["result"])]
@@ -447,6 +437,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _merge_config_file(args, parser, argv)
         _check_required(args, parser)
         seed = _resolve_seed(args)
+        # the default test share is set before the echo, so that it shows the share the run uses
+        if args.command == "simulate" and args.test_count is None and args.test_fraction is None:
+            args.test_fraction = 0.01
         if args.print_effective_config:
             eff = {k: v for k, v in sorted(vars(args).items()) if k != "print_effective_config"}
             eff["seed"] = seed

@@ -12,9 +12,12 @@ M's action on labels is one cached table, conjugation_tables, built by
 iterating M and checked to have order N+1.  The label classes (the
 orbits of M), T's conjugation check and the protocol's sift all read it.
 
-Construction is verified before anything is returned: unitarity, the
-conjugation relation for every label, and the order are all checked at
-1e-10, and a T failing any of them is never handed out.
+T is assembled in one gather from its coefficients and checked by
+verify_T before it is returned: unitarity, the conjugation relation for
+every label, the order, the unbiasedness of the bases its powers give,
+and flat coefficients, all at 1e-10.  One walk over T's powers yields
+both the order and the unbiasedness.  A T failing any check is never
+handed out; the `verify` command re-runs the checks and reports them.
 """
 
 from __future__ import annotations
@@ -185,8 +188,14 @@ def _pair_correction(gf: GF, x: np.ndarray, coef: int) -> np.ndarray:
 
 
 def _f_table(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
-    """(num, den) of phase_exponent_f for every label, as (N, N) arrays
-    indexed [a, b]."""
+    """Exponent of omega_p in the conjugation relation
+    X_a Z_b T = omega_p^f(a,b) T X_a' Z_b' for every label, as (num, den)
+    (N, N) arrays indexed [a, b] with den in {1, 2}.
+
+    For odd p the half is absorbed by 2^-1 in GF(p) and the exponent is
+    integral.  For p = 2 the half-integral diagonal terms are evaluated
+    per basis coefficient with omega_2^(1/2) = +i.
+    """
     al, be, ga = params.alpha, params.beta, params.gamma
     add, mul, tr = gf.add_table, gf.mul_table, gf.trace_table
     p = gf.p
@@ -208,25 +217,6 @@ def _f_table(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
     num = s + 2 * tr[add[cross, mul[be, corr]]]
     even = num % 2 == 0
     return np.where(even, (num // 2) % 2, num % 4), np.where(even, 1, 2)
-
-
-def phase_exponent_f(gf: GF, params: SymplecticParams, a: int, b: int) -> tuple[int, int]:
-    """Exponent of omega_p in the conjugation relation
-    X_a Z_b T = omega_p^f(a,b) T X_a' Z_b', as (num, den) with den in {1, 2}.
-
-    For odd p the half is absorbed by 2^-1 in GF(p) and the exponent is
-    integral.  For p = 2 the half-integral diagonal terms are evaluated
-    per basis coefficient with omega_2^(1/2) = +i.
-    """
-    gf._check(a, b)
-    num, den = _f_table(gf, params)
-    return int(num[a, b]), int(den[a, b])
-
-
-def _phase_values(p: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """phase_value(p, num, den) elementwise, looked up from the scalar values."""
-    table = np.array([[phase_value(p, k, d) for k in range(2 * p)] for d in (1, 2)])
-    return table[den - 1, num]
 
 
 def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -268,15 +258,11 @@ def _char_table(gf: GF) -> np.ndarray:
 
 
 def _assemble(gf: GF, lam: np.ndarray) -> np.ndarray:
-    N = gf.N
-    zchar = _char_table(gf)
-    T = np.zeros((N, N), dtype=np.complex128)
-    addt = gf.add_table
-    cols = np.arange(N)
-    for a in gf.elements():
-        rows = addt[a, cols]
-        for b in gf.elements():
-            T[rows, cols] += lam[a, b] * zchar[b]
+    """T = sum of lam[a, b] X_a Z_b.  Column v of X_a Z_b is chi[b, v] in
+    row a + v, so T[a + v, v] is the sum over b of lam[a, b] chi[b, v];
+    a -> a + v is one-to-one, so each entry is written once."""
+    T = np.empty((gf.N, gf.N), dtype=np.complex128)
+    T[gf.add_table, np.arange(gf.N)] = np.add.reduce(lam[:, :, None] * _char_table(gf)[None], axis=1)
     return T
 
 
@@ -287,7 +273,9 @@ def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_tab
     add, sub = gf.add_table, gf.sub_table
     a_img, b_img = (t[1] for t in conjugation_tables(gf, params))
     chi = _char_table(gf)
-    ph = _phase_values(gf.p, *f_table)
+    # omega^f(a,b) for every label, looked up from the scalar phase values
+    values = np.array([[phase_value(gf.p, k, d) for k in range(2 * gf.p)] for d in (1, 2)])
+    ph = values[f_table[1] - 1, f_table[0]]
     worst = 0.0
     for a in gf.elements():
         src = sub[:, a]
@@ -298,49 +286,54 @@ def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_tab
     return worst
 
 
-def _scalar_order(T: np.ndarray, tol: float) -> int:
-    """Smallest k >= 1 with T^k a scalar multiple of the identity; 0 if none
-    found within 2(N+1) powers."""
+def _walk_powers(T: np.ndarray, max_power: int, tol: float) -> tuple[int, float]:
+    """(order, MUB deviation) from one walk over T, T^2, ...  The order is
+    the smallest k with T^k a scalar multiple of the identity, 0 if none
+    within 2(N+1) powers; the deviation is the largest ||T^k|^2 - 1/N| over
+    powers 1..max_power."""
     N = T.shape[0]
+    order, mub_dev = 0, 0.0
     P = np.eye(N, dtype=np.complex128)
     for k in range(1, 2 * (N + 1) + 1):
         P = P @ T
+        if k <= max_power:
+            mub_dev = max(mub_dev, float(np.abs(np.abs(P) ** 2 - 1.0 / N).max()))
         scal = np.trace(P) / N
-        if np.abs(P - scal * np.eye(N)).max() < tol and abs(scal) > 0.5:
-            return k
-    return 0
+        if not order and np.abs(P - scal * np.eye(N)).max() < tol and abs(scal) > 0.5:
+            order = k
+        if order and k >= max_power:
+            break
+    return order, mub_dev
 
 
 def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
-    """Construct T from the closure coefficients; the result must pass
-    unitarity, the conjugation relation for every label, and the order
-    check before it is returned."""
+    """Construct T from the closure coefficients; it is returned only if
+    verify_T passes it on every check."""
     if gf.N > 64:
         raise ConfigError("T construction is supported for N <= 64")
     f_table = _f_table(gf, params)
     lam = _coeffs_closure(gf, params, f_table)
-    T = _assemble(gf, lam)
-    uni = float(np.abs(T.conj().T @ T - np.eye(gf.N)).max())
-    if uni > tol:
-        raise InvariantViolation(f"T construction failed: unitarity residual {uni:.2e}")
-    conj = _conjugation_residual(gf, params, T, f_table)
-    if conj > tol:
-        raise InvariantViolation(f"T construction failed: conjugation residual {conj:.2e}")
-    order = _scalar_order(T, tol)
-    if order != gf.N + 1:
-        raise InvariantViolation(
-            f"T construction failed: order up to phase is {order}, want {gf.N + 1}"
-        )
-    return TOperator(gf, params, T, lam, f_table)
+    top = TOperator(gf, params, _assemble(gf, lam), lam, f_table)
+    rep = verify_T(top, tol)
+    if not rep.all_ok:
+        raise InvariantViolation("T construction failed: " + "; ".join(_failed_checks(rep, gf.N, tol)))
+    return top
 
 
-def make_t_operator(gf: GF) -> TOperator:
-    """End-to-end helper: characteristic polynomial, M, then T."""
-    return build_T(gf, choose_M(gf, find_char_poly(gf)))
+def _failed_checks(rep: VerificationReport, N: int, tol: float) -> list[str]:
+    """Each check the report fails at tol, named with its value."""
+    checks = (
+        ("unitarity residual", rep.unitarity_residual < tol, f"{rep.unitarity_residual:.2e}"),
+        ("conjugation residual", rep.conjugation_residual < tol, f"{rep.conjugation_residual:.2e}"),
+        ("order up to phase", rep.order_ok, f"{rep.order_up_to_phase} (want {N + 1})"),
+        ("MUB deviation", rep.mub_ok, f"{rep.mub_max_deviation:.2e}"),
+        ("Lambda flatness", rep.lambda_flatness < tol, f"{rep.lambda_flatness:.2e}"),
+    )
+    return [f"{name} {value}" for name, ok, value in checks if not ok]
 
 
 def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
-    """Re-run every invariant on a built T and report residuals.
+    """Run every invariant on a built T and report residuals.
 
     The mutually-unbiased-bases check covers powers 1..N for p = 2 and
     1..(N-1)/2 for p > 2 (a T^m with all squared entries 1/N makes the
@@ -352,15 +345,9 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
     N = gf.N
     uni = float(np.abs(T.conj().T @ T - np.eye(N)).max())
     conj = _conjugation_residual(gf, top.params, T, top.f_table)
-    order = _scalar_order(T, tol)
-    notes = []
-
     max_power = N if gf.p == 2 else (N - 1) // 2
-    mub_dev = 0.0
-    P = np.eye(N, dtype=np.complex128)
-    for _ in range(max_power):
-        P = P @ T
-        mub_dev = max(mub_dev, float(np.abs(np.abs(P) ** 2 - 1.0 / N).max()))
+    order, mub_dev = _walk_powers(T, max_power, tol)
+    notes = []
     if gf.p != 2:
         Q = np.linalg.matrix_power(T, (N + 1) // 2)
         perm_resid = float(np.abs(np.sort(np.abs(Q), axis=0)[:-1, :]).max())
@@ -368,7 +355,6 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
         if perm_resid > tol:
             notes.append("WARNING: expected standard-basis permutation at power (N+1)/2")
 
-    flat = float(np.abs(np.abs(top.coeffs) - 1.0 / N).max())
     rep = VerificationReport(
         unitarity_residual=uni,
         conjugation_residual=conj,
@@ -377,9 +363,9 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
         mub_powers_checked=max_power,
         mub_max_deviation=mub_dev,
         mub_ok=mub_dev < tol,
-        lambda_flatness=flat,
+        lambda_flatness=float(np.abs(np.abs(top.coeffs) - 1.0 / N).max()),
         all_ok=False,
         notes=notes,
     )
-    rep.all_ok = uni < tol and conj < tol and rep.order_ok and rep.mub_ok and flat < tol
+    rep.all_ok = not _failed_checks(rep, N, tol)
     return rep

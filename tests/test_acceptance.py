@@ -20,7 +20,7 @@ from quditqkd.rates import (
     thresholds,
     worst_case_distribution,
 )
-from quditqkd.toperator import make_t_operator, verify_T
+from quditqkd.toperator import verify_T
 
 ALL_N = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
@@ -64,7 +64,7 @@ def test_acceptance_1_reference_operators():
 
     worst = 0.0
     for (p, n), ref in [((2, 1), ref2), ((3, 1), ref3), ((2, 2), ref4)]:
-        T = make_t_operator(make_field(p, n)).matrix
+        T = cached_top(p, n).matrix
         worst = max(worst, float(np.abs(T - phase_align(T, ref)).max()))
     elapsed = time.time() - t0
     assert worst < 1e-10
@@ -99,7 +99,7 @@ def test_acceptance_3_operator_identities():
     t0 = time.time()
     worst = 0.0
     for p, n in ALL_N:
-        top = make_t_operator(make_field(p, n))
+        top = cached_top(p, n)
         rep = verify_T(top)
         assert rep.order_up_to_phase == top.gf.N + 1
         assert rep.mub_ok and rep.all_ok

@@ -218,6 +218,62 @@ def test_classes_report_is_pinned(capsys, p, n):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == PINNED_CLASSES[p, n]
 
 
+# md5 of the verify and build-t stdouts for every prime power N <= 64,
+# recorded while T was assembled label by label and its powers were
+# walked once for the order and again for unbiasedness
+PINNED_T_REPORTS = {
+    (2, 1): ("52c63cb5ae054b67f0fd97150978c9ec", "5739d95ac95510c5ef2484358ea02c26"),
+    (3, 1): ("cad4832d286567c52918f96d7122c563", "0f6e309a8811ff7d291ac3aacebfce87"),
+    (2, 2): ("60d14ab7d05c8678e409a4ad0b669c8b", "2783f5559fc0b1887dc3a174fbdaaf81"),
+    (5, 1): ("4d3812dd31ff1a365a3cfd017e1b3701", "26bc9772f222a460e45050fae68933d4"),
+    (7, 1): ("e40e9f1675cf34b66bb87aca67ac30f1", "3dc73f82a88357ad05815359c3de4f71"),
+    (2, 3): ("f992d3f73cfa319ea10a294b39e2cb6d", "5e361c34cefc72704833d4ffed1f73dc"),
+    (3, 2): ("21807b6f5b15384e9ae7f19d0e52561b", "32d1cf42792b3d726e6fc405e087d16f"),
+    (11, 1): ("43c0350402b474bd6701fd5c78e02ee5", "6dfd66a496f65bea2d96f092d0dae61d"),
+    (13, 1): ("f7e15cf84d99647b335d817b9bc7120e", "d4a97247e5f48c4acce4a5b897aa35af"),
+    (2, 4): ("f8acabcc54e82591fd35a25cd512de35", "0cfd29ae38727d2a84d568616693aa66"),
+    (17, 1): ("98f806f494332ddecebf3921d9a805b1", "a9c7772652aa935c77bf4c61982040da"),
+    (19, 1): ("64ac93b3de3c62a46926eb65a0de4571", "ed26fdd33801f406ccb0f5f51e54dbb5"),
+    (23, 1): ("6f83201049b5e2e10b26132476a6b0e6", "ec84de2dc4c54033bf31c14e040287b6"),
+    (5, 2): ("482af734622afe45a0321c4cca3e58ab", "bcce6bb9ccd0b134685dbddddd708f03"),
+    (3, 3): ("d962a399a20850a5e33d038404e89687", "90413108f20e01b3502869a0b0c3f4d3"),
+    (29, 1): ("9ade3a95157922b7def6c0df22f564b9", "64d827e995c45251864eaa275dbf3bca"),
+    (31, 1): ("f691e61617ee09ba0838678133b7ca37", "b099234aa4504bce2d78769350b9196d"),
+    (2, 5): ("b0d25d2f4bbf33cda3246d16e185a794", "ef87bc396e9241eebee4cbe9a5b4f3f4"),
+    (37, 1): ("31a009277de5ea4c924dcb22338a57fa", "80153ad23b2f24536bc87c5248c071df"),
+    (41, 1): ("ba574a9e31b990c505ca7b1f2defd47b", "2b81de3c73bbe70fd1d0196a42e52125"),
+    (43, 1): ("38ef508e7cf690ffc506d5367ed3a8cb", "0db953a224a4cd3d7f2086829db3d2bc"),
+    (47, 1): ("7857f421661c674b20d64bd24194985d", "d467eede89a8c78a949af274c825c53c"),
+    (7, 2): ("e4c0cdd70388539da990311f22227258", "d9a88d2da2c6a32fb4e6a399cd607822"),
+    (53, 1): ("01a69fce915927a57e5572d9def3e165", "7ad69597db1d27d763346b1dff34ed28"),
+    (59, 1): ("e3351b7c553f8a525dcde330c72d683b", "c3e6d491696f55f2d54e4f662f040538"),
+    (61, 1): ("778e92e5b3e118a9e6a40ec267996c41", "44c59cb5d00bb6b6375639ecb64b8e65"),
+    (2, 6): ("4c6de984857fb2d4c8bdd309c01f2e4d", "622ff7116d4e34054ad212507c837534"),
+}
+
+
+@pytest.mark.parametrize("p,n", PINNED_T_REPORTS)
+def test_t_reports_are_pinned(capsys, p, n):
+    for command, digest in zip(("verify", "build-t"), PINNED_T_REPORTS[p, n]):
+        assert cli.main([command, "--p", str(p), "--n", str(n)]) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
+# md5 of one whole simulate stdout, config and field included, recorded
+# while the config was written out key by key
+PINNED_SIMULATE_STDOUT = (
+    "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
+    "283272312ff042a3ad92873240260de4")
+
+
+def test_whole_simulate_stdout_is_pinned(capsys):
+    argv, digest = PINNED_SIMULATE_STDOUT
+    assert cli.main(["simulate", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["config"]["test_fraction"] == 0.01
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     # no residual bound is derived for odd p: nothing is certified, every
     # round runs and r is the bound-free isqrt of the survivors, made odd
@@ -456,6 +512,8 @@ def test_print_effective_config():
     assert res.returncode == 0
     eff = json.loads(res.stdout)
     assert eff["seed"] == 9 and eff["L"] == 1000
+    # the test share the run uses when neither --test-count nor --test-fraction is given
+    assert eff["test_fraction"] == 0.01 and eff["test_count"] is None
 
 
 def test_io_error_exit_code(tmp_path):

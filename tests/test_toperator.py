@@ -13,15 +13,13 @@ from quditqkd.toperator import (
     _conjugation_residual,
     _f_table,
     _pair_correction,
-    _scalar_order,
+    _walk_powers,
     build_T,
     choose_M,
     conjugate_label,
     conjugation_tables,
     equiv_classes,
     find_char_poly,
-    make_t_operator,
-    phase_exponent_f,
     verify_T,
 )
 
@@ -195,16 +193,13 @@ def test_unit_determinant(p, n):
 
 def test_phase_f_at_zero():
     for p, n in PRIME_POWERS:
-        gf, params = cached_params(p, n)
-        assert phase_exponent_f(gf, params, 0, 0) == (0, 1)
+        num, den = _f_table(*cached_params(p, n))
+        assert (num[0, 0], den[0, 0]) == (0, 1)
 
 
 def test_phase_f_qutrit_integral():
-    gf, params = cached_params(3, 1)
-    for a in gf.elements():
-        for b in gf.elements():
-            num, den = phase_exponent_f(gf, params, a, b)
-            assert den == 1 and num in (0, 1, 2)
+    num, den = cached_top(3, 1).f_table
+    assert (den == 1).all() and set(num.ravel().tolist()) <= {0, 1, 2}
 
 
 def test_qubit_coefficients_match_known_phases():
@@ -274,7 +269,7 @@ def test_verification_suite(p, n):
 
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
 def test_verification_suite_beyond_sixteen(p, n):
-    rep = verify_T(make_t_operator(make_field(p, n)))
+    rep = verify_T(cached_top(p, n))
     assert rep.all_ok
     for residual in (rep.unitarity_residual, rep.conjugation_residual,
                      rep.mub_max_deviation, rep.lambda_flatness):
@@ -526,20 +521,70 @@ def test_closure_candidate_passes_every_check(p, n):
     T = _assemble(gf, lam)
     assert unitarity_residual(T) < TOL
     assert _conjugation_residual(gf, top.params, T, top.f_table) < TOL
-    assert _scalar_order(T, TOL) == gf.N + 1
+    order, mub_dev = _walk_powers(T, gf.N if p == 2 else (gf.N - 1) // 2, TOL)
+    assert order == gf.N + 1 and mub_dev < TOL
     assert np.abs(np.abs(lam) - 1.0 / gf.N).max() < TOL
 
 
-def test_build_rejects_a_failing_candidate(monkeypatch):
+# the message build_T raises for lam[1, 0] scaled by -1 and by 2 at N = 4:
+# every failing check named with its value, and no passing one
+FAILING_CANDIDATES = {
+    -1: "unitarity residual 3.54e-01; conjugation residual 1.00e+00; "
+        "order up to phase 0 (want 5); MUB deviation 3.75e-01",
+    2: "unitarity residual 3.12e-01; conjugation residual 5.00e-01; "
+       "order up to phase 0 (want 5); MUB deviation 7.93e-01; Lambda flatness 2.50e-01",
+}
+
+
+def test_build_rejects_a_failing_candidate(monkeypatch, capsys):
     real = toperator._coeffs_closure
-
-    def one_entry_negated(gf, params, f_table):
-        lam = real(gf, params, f_table)
-        lam[1, 0] = -lam[1, 0]
-        return lam
-
-    monkeypatch.setattr(toperator, "_coeffs_closure", one_entry_negated)
     gf, params = cached_params(2, 2)
-    with pytest.raises(InvariantViolation, match="T construction failed"):
-        build_T(gf, params)
-    assert cli.main(["verify", "--p", "2", "--n", "2"]) == 4
+    for scale, failures in FAILING_CANDIDATES.items():
+        def one_entry_scaled(gf, params, f_table):
+            lam = real(gf, params, f_table)
+            lam[1, 0] *= scale
+            return lam
+
+        monkeypatch.setattr(toperator, "_coeffs_closure", one_entry_scaled)
+        with pytest.raises(InvariantViolation) as err:
+            build_T(gf, params)
+        assert str(err.value) == "T construction failed: " + failures
+        assert cli.main(["verify", "--p", "2", "--n", "2"]) == 4
+        assert capsys.readouterr().err == f"invariant failure: T construction failed: {failures}\n"
+
+
+def reference_order(T, tol):
+    """The order search as its own walk: smallest k <= 2(N+1) with T^k
+    scalar, else 0."""
+    N = T.shape[0]
+    P = np.eye(N, dtype=np.complex128)
+    for k in range(1, 2 * (N + 1) + 1):
+        P = P @ T
+        scal = np.trace(P) / N
+        if np.abs(P - scal * np.eye(N)).max() < tol and abs(scal) > 0.5:
+            return k
+    return 0
+
+
+def reference_mub_deviation(T, max_power):
+    N = T.shape[0]
+    dev, P = 0.0, np.eye(N, dtype=np.complex128)
+    for _ in range(max_power):
+        P = P @ T
+        dev = max(dev, float(np.abs(np.abs(P) ** 2 - 1.0 / N).max()))
+    return dev
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
+def test_walk_powers_matches_separate_walks(p, n):
+    # the built T (order N+1, beyond every MUB power), a permutation of
+    # order 2 (found before the MUB powers end), a non-unitary one whose
+    # powers past its order still grow, and matrices with no scalar power
+    T = cached_top(p, n).matrix
+    N = T.shape[0]
+    swap = np.eye(N, dtype=np.complex128)[[1, 0, *range(2, N)]]
+    drift = np.diag(np.exp(1j * np.sqrt(2) * np.arange(N)))
+    for M in (T, swap, 1.1 * swap, drift, T @ drift):
+        for max_power in range(N + 1):
+            assert _walk_powers(M, max_power, TOL) == (reference_order(M, TOL),
+                                                        reference_mub_deviation(M, max_power))
