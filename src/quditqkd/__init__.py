@@ -29,7 +29,6 @@ from .rates import (
     PecBounds,
     ThresholdTable,
     attack_calculus,
-    dominance_check,
     ep_closed_form,
     ep_step,
     eve_ber,
@@ -77,7 +76,6 @@ __all__ = [
     "worst_case_distribution",
     "ep_step",
     "ep_closed_form",
-    "dominance_check",
     "pec_phase_bound",
     "thresholds",
     "qer_estimator",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -44,35 +45,32 @@ EXIT_INVARIANT = 4
 EXIT_IO = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # common options are accepted both before and after the subcommand;
-    # SUPPRESS keeps an unset late occurrence from clobbering an early one
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON config file; flags override its values")
-    common.add_argument("--output", default=argparse.SUPPRESS, help="report path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=f"RNG seed (falls back to ${SEED_ENV})")
+    # Every default is suppressed, so a parse holds exactly the options argv
+    # gave; _resolve_options adds the rest.  The common options work before
+    # or after the subcommand, and the later one wins.  Built once, never changed.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--output", help="report path (default: stdout)")
+    common.add_argument("--format", choices=("json", "csv"))
+    common.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV})")
     common.add_argument("--print-effective-config", action="store_true",
-                        default=argparse.SUPPRESS,
                         help="echo the fully resolved configuration and exit")
 
     top = argparse.ArgumentParser(prog="quditqkd", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_field(p):
+    def add_command(name):
+        p = sub.add_parser(name, parents=[common], argument_default=argparse.SUPPRESS)
         p.add_argument("--p", type=int, help="prime characteristic (required)")
-        p.add_argument("--n", default="1", help="extension degree (thresholds accepts a..b)")
+        p.add_argument("--n", help="extension degree (thresholds accepts a..b)")
+        return p
 
-    for name in ("build-t", "verify", "classes"):
-        add_field(sub.add_parser(name, parents=[common]))
+    for name in ("build-t", "verify", "classes", "thresholds"):
+        add_command(name)
 
-    thr = sub.add_parser("thresholds", parents=[common])
-    add_field(thr)
-
-    sim = sub.add_parser("simulate", parents=[common])
-    add_field(sim)
+    sim = add_command("simulate")
     sim.add_argument("--L", type=int, help="transmitted particles (required)")
     sim.add_argument(
         "--channel",
@@ -84,52 +82,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--q-prime", type=float, help="per-qubit-attack probability")
     sim.add_argument("--test-count", type=int)
     sim.add_argument("--test-fraction", type=float)
-    sim.add_argument("--delta", type=float, default=0.01)
-    sim.add_argument("--epsilon-i", type=float, default=0.01)
+    sim.add_argument("--delta", type=float)
+    sim.add_argument("--epsilon-i", type=float)
     sim.add_argument("--abort-threshold", type=float)
-    sim.add_argument("--ep-rounds-max", type=int, default=4)
+    sim.add_argument("--ep-rounds-max", type=int)
     sim.add_argument("--ep-rounds", type=int)
     sim.add_argument("--pec-r", type=int)
-    sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--workers", type=int, default=4, help="threads for --trials > 1, at most one per CPU")
+    sim.add_argument("--trials", type=int)
+    sim.add_argument("--workers", type=int, help="threads for --trials > 1, at most one per CPU")
 
-    atk = sub.add_parser("attack", parents=[common])
-    add_field(atk)
-    atk.add_argument("--q", type=float, help="attack probability (required)")
+    add_command("attack").add_argument("--q", type=float, help="attack probability (required)")
     return top
 
 
-# argparse is not told: a config file may supply these (see _check_required)
+# every option with a value when neither argv nor the config file gives one;
+# the rest default to None
+_DEFAULTS = {"format": "json", "n": "1", "delta": 0.01, "epsilon_i": 0.01, "ep_rounds_max": 4,
+             "trials": 1, "workers": 4}
+
+# argparse is not told: a config file may supply these (see _resolve_options)
 _REQUIRED = {"build-t": ("p",), "verify": ("p",), "classes": ("p",), "thresholds": ("p",),
              "simulate": ("p", "L", "channel"), "attack": ("p", "q")}
 
-_FLAG_KEYS = {
-    "output", "format", "seed", "p", "n", "L", "channel", "qer", "q", "q_prime",
-    "test_count", "test_fraction", "delta", "epsilon_i", "abort_threshold",
-    "ep_rounds_max", "ep_rounds", "pec_r", "trials", "workers",
-}
+# options that steer the run itself: no config file sets them, no report records them
+_RUN_KEYS = ("command", "config", "print_effective_config")
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """After the config file merge: a usage error (exit 2) naming every
-    required option that neither argv nor the file gave."""
-    missing = [f"--{k}" for k in _REQUIRED[args.command] if getattr(args, k) is None]
+def _resolve_options(parser: argparse.ArgumentParser, given: dict) -> argparse.Namespace:
+    """Every option of the subcommand, lowest precedence first: None or its
+    _DEFAULTS value, then the config file, then the options argv gave.  A
+    required option that is still None is a usage error (exit 2)."""
+    sub = _subparsers(parser).choices[given["command"]]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    values = {k: _DEFAULTS.get(k) for k in actions}
+    if given.get("config"):
+        values.update(_read_config_file(given["config"], parser, actions, given))
+    values.update(given)
+    missing = [f"--{k}" for k in _REQUIRED[given["command"]] if values[k] is None]
     if missing:
-        _subparsers(parser).choices[args.command].error(
-            "the following arguments are required: " + ", ".join(missing))
+        sub.error("the following arguments are required: " + ", ".join(missing))
+    return argparse.Namespace(**values)
 
 
-def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]) -> None:
-    """File values fill in only options that argv left at default."""
-    if not args.config:
-        return
+def _read_config_file(path: str, parser: argparse.ArgumentParser,
+                      actions: dict[str, argparse.Action], given: dict) -> dict:
+    """The file's values for the subcommand's options that argv left unset.
+    A key no subcommand has is an error; one another subcommand has is ignored."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -137,20 +141,22 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigError(f"malformed config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    explicit = _explicit_flags(argv)
-    actions = {a.dest: a for a in _subparsers(parser).choices[args.command]._actions}
+    flag_keys = {a.dest for p in _subparsers(parser).choices.values() for a in p._actions}
+    flag_keys -= {"help", *_RUN_KEYS}
+    values = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if attr not in _FLAG_KEYS:
+        if attr not in flag_keys:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr not in explicit and hasattr(args, attr):
-            setattr(args, attr, _convert_file_value(actions[attr], key, value))
+        if attr in actions and attr not in given:
+            values[attr] = _convert_file_value(actions[attr], key, value)
+    return values
 
 
 def _convert_file_value(action: argparse.Action, key: str, value):
     """A config-file value checked as argparse checks the flag's text; null
-    is accepted only where the option defaults to unset."""
-    if value is None and action.default in (None, argparse.SUPPRESS):
+    is accepted only where the option defaults to None."""
+    if value is None and action.dest not in _DEFAULTS:
         return None
     try:
         out = action.type(str(value)) if action.type else str(value)
@@ -161,20 +167,9 @@ def _convert_file_value(action: argparse.Action, key: str, value):
     return out
 
 
-def _explicit_flags(argv: list[str]) -> set[str]:
-    """Option dests that appear in argv.  argv is parsed again with every
-    default suppressed, so argparse's own matching (abbreviations,
-    --flag=value) decides which options were given."""
-    probe = _build_parser()
-    for p in (probe, *_subparsers(probe).choices.values()):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(probe.parse_args(argv)))
-
-
 def _resolve_seed(args: argparse.Namespace) -> Optional[int]:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get(SEED_ENV)
     try:
         return int(env) if env else None
@@ -197,14 +192,17 @@ def _parse_degree_range(text: str) -> list[int]:
 
 def _degree(args) -> int:
     try:
-        return int(args.n)
+        n = int(args.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid extension degree {args.n!r}") from exc
+    if n < 1:
+        raise ConfigError(f"extension degree must be positive, got {n}")
+    return n
 
 
 def _report_skeleton(args, gf=None, seed=None) -> dict:
     resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k in _FLAG_KEYS and v is not None
+        k: v for k, v in sorted(vars(args).items()) if k not in _RUN_KEYS and v is not None
     }
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -422,20 +420,12 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    for key, default in (
-        ("config", None), ("output", None), ("format", "json"),
-        ("seed", None), ("print_effective_config", False),
-    ):
-        if not hasattr(args, key):
-            setattr(args, key, default)
     try:
-        _merge_config_file(args, parser, argv)
-        _check_required(args, parser)
+        args = _resolve_options(parser, vars(args))
         seed = _resolve_seed(args)
         # the default test share is set before the echo, so that it shows the share the run uses
         if args.command == "simulate" and args.test_count is None and args.test_fraction is None:
@@ -447,7 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         _COMMANDS[args.command](args, seed)
         return EXIT_OK
-    except SystemExit as exc:  # usage error from _check_required
+    except SystemExit as exc:  # usage error from _resolve_options
         return int(exc.code)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

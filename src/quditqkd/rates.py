@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class ErrorDistribution:
     def spin_error_rate(self) -> float:
         """Total rate of labels with a != 0."""
         return float(self.rates[1:, :].sum())
-
-    def phase_error_rate(self) -> float:
-        """Total rate of labels with b != 0."""
-        return float(self.rates[:, 1:].sum())
 
 
 def make_error_distribution(gf: GF, partition, class_rates: Mapping[tuple[int, int], float]) -> ErrorDistribution:
@@ -156,32 +152,6 @@ def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
     if denom <= 0.0:
         raise ZeroDivisionError("degenerate distribution: zero survival probability")
     return ErrorDistribution(gf, numer / denom, ep_evolved=True, check=False)
-
-
-@dataclass(frozen=True)
-class DominanceResult:
-    applicable: bool
-    holds: Optional[bool]
-    reason: str
-
-
-def dominance_check(d: ErrorDistribution, k_max: int = 8) -> DominanceResult:
-    """Empirically confirm e_00 stays the largest phase-row entry after
-    every purification round up to k_max, under the dominance hypothesis
-    e_00 > 1/(N+2) (p = 2) or e_00 > 2/(N+3) (p > 2)."""
-    gf = d.gf
-    bound = 1.0 / (gf.N + 2) if gf.p == 2 else 2.0 / (gf.N + 3)
-    if d.e00 <= bound:
-        return DominanceResult(False, None, f"e00 = {d.e00:.4f} <= {bound:.4f}: hypothesis not met")
-    cur = d
-    for k in range(1, k_max + 1):
-        cur = ep_step(cur)
-        row0 = cur.rates[0]
-        # strict dominance can degenerate to a floating-point tie as the
-        # leading rates converge, so compare with a small slack
-        if not (row0[0] >= row0[1:] - 1e-12).all():
-            return DominanceResult(True, False, f"e00 not dominant after {k} rounds")
-    return DominanceResult(True, True, f"e00 dominant through {k_max} rounds")
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -349,6 +352,8 @@ def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
      "--delta", "nan", "--abort-threshold", "0.3", "--seed", "1"],
     ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless",
      "--delta", "-0.5", "--abort-threshold", "0.3", "--seed", "1"],
+    # 2**-1 is a float, which the attack calculus cannot take as a dimension
+    ["attack", "--p", "2", "--n", "-1", "--q", "0.5"],
 ])
 def test_bad_arguments_are_config_errors(capsys, argv):
     assert cli.main(argv) == 3
@@ -440,7 +445,8 @@ def test_required_option_missing_from_flags_and_file_is_a_usage_error(
     assert cli.main(command) == 2
 
 
-@pytest.mark.parametrize("flag", [["--delta", "0.02"], ["--del", "0.02"], ["--delta=0.02"]])
+@pytest.mark.parametrize("flag", [["--delta", "0.02"], ["--del", "0.02"], ["--delta=0.02"],
+                                  ["--del=0.02"]])
 def test_abbreviated_flag_overrides_config_file(tmp_path, capsys, flag):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"delta": 0.5}))
@@ -459,6 +465,164 @@ def test_main_leaves_sys_argv_alone(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["command"] == "thresholds"
 
 
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["thresholds", "--p", "2", "--n", "2"]
+    assert cli.main(argv) == 0  # builds the parser, unless an earlier call did
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(argv) == 0 and cli.main(["verify", "--p", "2"]) == 0
+    assert built == []
+    argparse.ArgumentParser(prog="probe")
+    assert built == ["probe"]  # the counter sees a build
+
+
+# (argv, config file, (md5 of stdout, exit code, last stderr line)) of runs
+# that show how each option's value is resolved.  {cfg} stands for the
+# config file's path in argv, stdout and stderr; a file of None is not
+# written and a str is written as it is.  Recorded on Python 3.11 while the
+# flags that beat the file were found by parsing argv a second time.
+NO_OUTPUT = hashlib.md5(b"").hexdigest()
+OPTION_RESOLUTION = {
+    "late common option wins": (
+        "--seed 1 verify --p 2 --seed 2 --print-effective-config", None,
+        ("c0d7a019d744d7a54434727dd008014f", 0, "")),
+    "late format wins": (
+        "--format csv thresholds --p 2 --n 1..2 --format json", None,
+        ("729799c469cedcd1a48f6d1c44f919b2", 0, "")),
+    "early format": (
+        "--format csv thresholds --p 2 --n 1..2", None,
+        ("62b93b644a11d89f565270204fd72ee7", 0, "")),
+    "early echo flag": (
+        "--print-effective-config verify --p 3", None,
+        ("4bd9838142d1056dc81bf838b6e340f0", 0, "")),
+    "simulate defaults": (
+        "simulate --p 2 --L 1000 --channel noiseless --print-effective-config", None,
+        ("0d770ce6f7e82fa5146eacfbe7011a86", 0, "")),
+    "csv report": (
+        "verify --p 2 --n 2 --format csv", None,
+        ("117333cd51a61fdf8995a66ecc750c06", 0, "")),
+    "file fills, flags win": (
+        "simulate --config {cfg} --p 2 --L 2000 --print-effective-config",
+        {"L": 1000, "channel": "noiseless", "seed": 3, "delta": 0.5, "epsilon-i": 0.02},
+        ("231b1581a03ff660ec3aa7d12f63e011", 0, "")),
+    "abbreviated flag beats file": (
+        "simulate --config {cfg} --p 2 --del 0.02 --ep-rounds-m 3 --print-effective-config",
+        {"L": 1000, "channel": "noiseless", "delta": 0.5, "ep_rounds_max": 2},
+        ("acb691d19646267b7ef13b25eb3396d6", 0, "")),
+    "early flag beats file": (
+        "--seed 9 --config {cfg} verify --p 2 --print-effective-config", {"seed": 4, "n": 2},
+        ("44736bfdeeb699ec13ad2ca49335490d", 0, "")),
+    "flag beats file for p": (
+        "verify --p 2 --config {cfg}", {"p": 3},
+        ("52c63cb5ae054b67f0fd97150978c9ec", 0, "")),
+    "file report": (
+        "--config {cfg} verify --p 2", {"n": 2, "seed": 5, "output": None},
+        ("5f5147728d5a26f04473a57d958b26b5", 0, "")),
+    "file format": (
+        "thresholds --p 2 --n 1..2 --config {cfg}", {"format": "csv"},
+        ("62b93b644a11d89f565270204fd72ee7", 0, "")),
+    "file seed null": (
+        "verify --p 2 --config {cfg} --print-effective-config", {"seed": None},
+        ("866f8f81aa8e1adbedfb4ea90c54a432", 0, "")),
+    "file delta null": (
+        "simulate --p 2 --L 1000 --channel noiseless --seed 1 --config {cfg}", {"delta": None},
+        (NO_OUTPUT, 3, "config error: config key 'delta': invalid value None")),
+    "file workers null": (
+        "simulate --p 2 --L 1000 --channel noiseless --seed 1 --config {cfg}", {"workers": None},
+        (NO_OUTPUT, 3, "config error: config key 'workers': invalid value None")),
+    "file n null": (
+        "verify --p 2 --config {cfg}", {"n": None},
+        (NO_OUTPUT, 3, "config error: invalid extension degree 'None'")),
+    "file keys of another command": (
+        "verify --p 2 --config {cfg} --print-effective-config", {"L": 5, "delta": "x"},
+        ("866f8f81aa8e1adbedfb4ea90c54a432", 0, "")),
+    "file command key": (
+        "verify --p 2 --config {cfg}", {"command": "classes"},
+        (NO_OUTPUT, 3, "config error: unknown config key 'command'")),
+    "file echo key": (
+        "verify --p 2 --config {cfg}", {"print_effective_config": True},
+        (NO_OUTPUT, 3, "config error: unknown config key 'print_effective_config'")),
+    "file config key": (
+        "verify --p 2 --config {cfg}", {"config": "other.json"},
+        (NO_OUTPUT, 3, "config error: unknown config key 'config'")),
+    "file missing": (
+        "verify --p 2 --config {cfg}", None,
+        (NO_OUTPUT, 3,
+         "config error: cannot read config file: [Errno 2] No such file or directory: '{cfg}'")),
+    "file malformed": (
+        "verify --p 2 --config {cfg}", "{",
+        (NO_OUTPUT, 3,
+         "config error: malformed config file: Expecting property name enclosed in double "
+         "quotes: line 1 column 2 (char 1)")),
+    "file not an object": (
+        "verify --p 2 --config {cfg}", "[]",
+        (NO_OUTPUT, 3, "config error: config file must hold a JSON object")),
+    "file bad choice": (
+        "simulate --p 2 --L 1000 --seed 1 --config {cfg}", {"channel": "x"},
+        (NO_OUTPUT, 3,
+         "config error: config key 'channel': 'x' is not one of ['noiseless', 'pauli-iid', "
+         "'intercept-resend', 'grouped-attack', 'per-qubit-attack']")),
+    "file gives required": (
+        "simulate --seed 1 --config {cfg} --print-effective-config",
+        {"p": 2, "L": 10, "channel": "noiseless"},
+        ("87f33e474e75ceeef7d0b852951008ce", 0, "")),
+    "required missing": (
+        "simulate --p 2 --config {cfg}", {"L": 10},
+        (NO_OUTPUT, 2,
+         "quditqkd simulate: error: the following arguments are required: --channel")),
+    "help": (
+        "--help", None,
+        ("c44ef6862ecc4972da534b2847d4c227", 0, "")),
+    "simulate help": (
+        "simulate --help", None,
+        ("46d758ed925081ceccd563c2baaa6c31", 0, "")),
+    "no command": (
+        "", None,
+        (NO_OUTPUT, 2, "quditqkd: error: the following arguments are required: command")),
+    "unknown command": (
+        "frobnicate", None,
+        (NO_OUTPUT, 2,
+         "quditqkd: error: argument command: invalid choice: 'frobnicate' (choose from "
+         "'build-t', 'verify', 'classes', 'thresholds', 'simulate', 'attack')")),
+    "unknown flag": (
+        "verify --p 2 --frob", None,
+        (NO_OUTPUT, 2, "quditqkd: error: unrecognized arguments: --frob")),
+    "bad flag type": (
+        "verify --p two", None,
+        (NO_OUTPUT, 2, "quditqkd verify: error: argument --p: invalid int value: 'two'")),
+    "ambiguous abbreviation": (
+        "simulate --p 2 --ep 3", None,
+        (NO_OUTPUT, 2,
+         "quditqkd simulate: error: ambiguous option: --ep could match --epsilon-i, "
+         "--ep-rounds-max, --ep-rounds")),
+}
+
+
+def _outcome(tmp_path, argv, file):
+    cfg = tmp_path / "cfg.json"
+    if file is not None:
+        cfg.write_text(file if isinstance(file, str) else json.dumps(file))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([a.replace("{cfg}", str(cfg)) for a in argv.split()])
+    out, err = (s.getvalue().replace(str(cfg), "{cfg}") for s in (out, err))
+    lines = err.splitlines()
+    return hashlib.md5(out.encode()).hexdigest(), code, lines[-1] if lines else ""
+
+
+@pytest.mark.parametrize("case", OPTION_RESOLUTION)
+def test_option_resolution_is_pinned(tmp_path, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv, file, pinned = OPTION_RESOLUTION[case]
+    assert _outcome(tmp_path, argv, file) == pinned
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicator": 1}))
@@ -467,7 +631,8 @@ def test_config_file_unknown_key(tmp_path):
     assert "unknown config key" in res.stderr
 
 
-@pytest.mark.parametrize("values", [{"delta": "x"}, {"test_count": 1.5}, {"format": "xml"}])
+@pytest.mark.parametrize("values", [{"delta": "x"}, {"test_count": 1.5}, {"format": "xml"},
+                                    {"delta": None}, {"workers": None}, {"format": None}])
 def test_config_file_values_are_type_checked(tmp_path, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
