@@ -10,7 +10,10 @@ reads NumPy tables, built once per field for N <= 256.
 The reducing modulus is always the lexicographically smallest monic
 irreducible polynomial of the requested degree (candidates ordered by
 the base-p integer encoding of their non-leading coefficients), which
-makes every field construction deterministic.
+makes every field construction deterministic.  A candidate of degree n
+is tested by trial division: it is irreducible when no monic polynomial
+of degree 1..n//2 leaves remainder zero.  The remainder, _pmod, is the
+only polynomial operation; the multiplication table's fold uses it too.
 """
 
 from __future__ import annotations
@@ -53,85 +56,29 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 # (coefficients, lowest degree first) with no trailing zeros.
 # ----------------------------------------------------------------------
 
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _padd(f: list[int], g: list[int], p: int) -> list[int]:
-    m = max(len(f), len(g))
-    out = [0] * m
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
-
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
 def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
+    """f mod the monic m."""
     f = list(f)
-    inv_lead = pow(m[-1], p - 2, p)
     while len(f) >= len(m):
-        coef = (f[-1] * inv_lead) % p
-        shift = len(f) - len(m)
-        if coef:
-            for i, c in enumerate(m):
-                f[shift + i] = (f[shift + i] - coef * c) % p
-        f.pop()
-        _ptrim(f)
-        if not f:
-            break
+        coef, shift = f[-1], len(f) - len(m)
+        for i, c in enumerate(m):
+            f[shift + i] = (f[shift + i] - coef * c) % p
+        while f and f[-1] == 0:
+            f.pop()
     return f
 
 
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
+def _monic(idx: int, k: int, p: int) -> list[int]:
+    """The monic polynomial of degree k whose lower coefficients are the
+    base-p digits of idx."""
+    return [idx // p**i % p for i in range(k)] + [1]
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """Trial division: a monic m of degree n >= 1 is irreducible when no
+    monic polynomial of degree 1..n//2 divides it."""
     n = len(m) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^n) == x (mod m)
-    if _ppowmod(x, p**n, m, p) != x:
-        return False
-    # gcd(x^(p^(n/q)) - x, m) == 1 for every prime divisor q of n
-    for q in _prime_divisors(n):
-        h = _padd(_ppowmod(x, p ** (n // q), m, p), [(-c) % p for c in x], p)
-        g = _pgcd(list(m), h, p)
-        if len(g) != 1:
-            return False
-    return True
+    return all(_pmod(m, _monic(idx, k, p), p) for k in range(1, n // 2 + 1) for idx in range(p**k))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -298,7 +245,7 @@ class GF:
     def _smallest_irreducible(self) -> tuple[int, ...]:
         p, n = self.p, self.n
         for idx in range(p**n):
-            cand = [idx // p**i % p for i in range(n)] + [1]
+            cand = _monic(idx, n, p)
             if _is_irreducible(cand, p):
                 return tuple(cand)
         raise AssertionError("no irreducible polynomial found")  # cannot happen

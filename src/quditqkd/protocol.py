@@ -29,7 +29,7 @@ choice's, so reports stay byte-identical to drawing them with
 Generator.choice.
 
 run_protocol calls the stages in order, on plain arrays; the first three
-walk the pool _BLOCK registers at a time.  sample_raw_labels draws the
+walk the pool a block of registers at a time.  sample_raw_labels draws the
 flat raw labels; sift conjugates them into (a, b) and counts each set per
 block; estimate_qer sacrifices the test picks and removes them from
 (a, b, s) in place, leaving the untested registers packed at the front;
@@ -63,12 +63,6 @@ from .fields import GF
 from .rates import (ErrorDistribution, ep_closed_form, pec_phase_bound, qer_estimator, thresholds,
                     worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
-
-# Elements drawn, counted or argsorted at a time, cache-sized: a block's
-# 1 MB intp buffer fits in a 2 MB L2 cache, a 2^18 block's 2 MB fills it.
-# On a 2-core Xeon with that L2, a stable block argsort cost 12.8-16 ns per
-# element at 2^18 and 3.5-11 ns at 2^15-2^17.
-_BLOCK = 1 << 17
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +173,10 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
     32-bit outputs, starting a fresh output per call, by Lemire's rule
     (ACM TOMACS 29(1), 2019): m = byte * R, rejected while m & 255 is below
     (256 - R) % R, else m >> 8.  Here each draw takes ceil(d / 4) outputs for
-    the d variates still missing, at most a _BLOCK of them: NumPy must read
-    at least that many to fill them, so no output is taken that NumPy would
-    not take, and only the last draw's surplus is dropped, as NumPy drops the
-    rest of its last output.  The rule is an exact uniform sampler whatever
+    the d variates still missing, at most a _kernels.BLOCK of them: NumPy
+    must read at least that many to fill them, so no output is taken that
+    NumPy would not take, and only the last draw's surplus is dropped, as
+    NumPy drops the rest of its last output.  The rule is an exact uniform sampler whatever
     NumPy's own algorithm, so the law of the draws never depends on it.
     """
     if R == 1:
@@ -192,7 +186,7 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
     shift = 9 - R.bit_length()  # m >> 8 = byte >> shift when R = 2^(8 - shift)
     filled = 0
     while filled < count:
-        byte = _raw_u32(rng, -(-min(count - filled, _BLOCK) // 4)).view(np.uint8)
+        byte = _raw_u32(rng, -(-min(count - filled, _kernels.BLOCK) // 4)).view(np.uint8)
         if threshold == 0:
             vals = byte[: count - filled]
             np.right_shift(vals, shift, out=out[filled : filled + vals.size])
@@ -232,10 +226,10 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np
     table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=nb + 1).cumsum()[:nb]
     table = table.astype(out.dtype)
     table[cdf[cdf != np.floor(cdf)].astype(np.intp)] = sentinel  # entries strictly inside
-    u = np.empty(min(_BLOCK, out.size))
+    u = np.empty(min(_kernels.BLOCK, out.size))
     idx = np.empty(u.size, np.intp)
-    for start in range(0, out.size, _BLOCK):
-        lab = out[start : start + _BLOCK]
+    for start in range(0, out.size, _kernels.BLOCK):
+        lab = out[start : start + _kernels.BLOCK]
         ub, ib = u[: lab.size], idx[: lab.size]
         rng.random(out=ub)
         ub *= nb
@@ -261,9 +255,10 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     q = channel.measure_probability(gf)
     out = np.empty(count, dtype)
-    u = np.empty(min(_BLOCK, count))  # each block's doubles, as rng.random(count) draws them
-    for start in range(0, count, _BLOCK):
-        blk = out[start : start + _BLOCK]
+    # each block's doubles, as rng.random(count) draws them
+    u = np.empty(min(_kernels.BLOCK, count))
+    for start in range(0, count, _kernels.BLOCK):
+        blk = out[start : start + _kernels.BLOCK]
         ub = rng.random(out=u[: blk.size])
         np.less(ub, q, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
     out *= _uint8_below(rng, N, count)
@@ -357,30 +352,12 @@ class SimReport:
 # Stage operations (also exposed for direct testing)
 # ----------------------------------------------------------------------
 
-def _gf_add(gf: GF, x, y, out=None):
-    """x + y over GF(N).  For p = 2 this is the XOR of the n-bit encodings.
-    Otherwise it is a flat lookup of the uint8 add table at x*N + y, a _BLOCK
-    at a time through one intp index buffer; every index is in range by
-    construction, and mode="clip" writes to out unbuffered."""
-    if gf.p == 2:
-        return np.bitwise_xor(x, y, out=out)
-    out = np.empty(x.size, np.uint8) if out is None else out
-    buf = np.empty(min(_BLOCK, x.size), np.intp)
-    for start in range(0, x.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        idx = buf[: x[blk].size]
-        np.multiply(x[blk], gf.N, out=idx, dtype=np.intp)
-        idx += y[blk]
-        np.take(gf.add_table.ravel(), idx, out=out[blk], mode="clip")
-    return out
-
-
 def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     """Conjugate each sifted register's flat raw label (from sample_raw_labels)
     into the computational frame of its set's power, a block at a time.
 
     Returns (a, b, block_sizes, post_sift_label_counts): the effective spin
-    and phase labels, the size of each set within each _BLOCK of the pool
+    and phase labels, the size of each set within each block of the pool
     (shape (blocks, N+1); the column sums are the set sizes) and the count of
     each label a*N + b.  run_protocol sets Bob's value s + a after testing.
     """
@@ -388,11 +365,11 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     ca, cb = conjugation_tables(gf, params)
     a, b = np.empty(set_idx.size, np.uint8), np.empty(set_idx.size, np.uint8)
     raw_counts = np.zeros((N + 1) * N * N, np.intp)
-    block_sizes = np.empty((-(-set_idx.size // _BLOCK), N + 1), np.intp)
+    block_sizes = np.empty((-(-set_idx.size // _kernels.BLOCK), N + 1), np.intp)
     # one intp index buffer, so neither np.take nor bincount copies an index
-    buf = np.empty(min(_BLOCK, set_idx.size), np.intp)
-    for j, start in enumerate(range(0, set_idx.size, _BLOCK)):
-        blk = slice(start, start + _BLOCK)
+    buf = np.empty(min(_kernels.BLOCK, set_idx.size), np.intp)
+    for j, start in enumerate(range(0, set_idx.size, _kernels.BLOCK)):
+        blk = slice(start, start + _kernels.BLOCK)
         idx = buf[: set_idx[blk].size]
         idx[...] = set_idx[blk]  # flat (set, raw a, raw b) index
         idx *= N * N
@@ -444,8 +421,8 @@ def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshol
     bounds = np.searchsorted(blocks[by_block], np.arange(len(block_sizes) + 1))
     errors = np.empty(ranks.size, dtype=bool)
     a, kept = pool[0], 0
-    for j, start in enumerate(range(0, set_idx.size, _BLOCK)):
-        blk, m = slice(start, start + _BLOCK), min(_BLOCK, set_idx.size - start)
+    for j, start in enumerate(range(0, set_idx.size, _kernels.BLOCK)):
+        blk, m = slice(start, start + _kernels.BLOCK), min(_kernels.BLOCK, set_idx.size - start)
         hit = by_block[bounds[j] : bounds[j + 1]]
         keep = slice(None)
         if hit.size:
@@ -606,7 +583,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         return report
 
     a, b, s = (v[: est.kept] for v in (a, b, s))
-    bob = _gf_add(gf, s, a)  # Bob's value, for the untested registers only
+    bob = _kernels.gf_add(gf.add_table, s, a)  # Bob's value, for the untested registers only
 
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
@@ -627,7 +604,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         k += 1
         report.ep_rounds = k
         report.survivors_per_round.append(int(a.size))
-        if a.size and not (bob == _gf_add(gf, s, a)).all():
+        if a.size and not (bob == _kernels.gf_add(gf.add_table, s, a)).all():
             raise InvariantViolation("ledger soundness broken after purification round")
 
     if a.size:

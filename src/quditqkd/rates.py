@@ -31,18 +31,16 @@ SQRT5 = math.sqrt(5.0)
 class ErrorDistribution:
     """Rates e_ab over GF(N)^2, stored as an (N, N) array indexed [a, b].
 
-    Fresh distributions must carry the orbit symmetry e_ab = e_a'b' for
-    equivalent labels; EP-evolved ones only retain e_ab = e_{-a,-b}.
+    Fresh distributions carry the orbit symmetry e_ab = e_a'b' for equivalent
+    labels, checked given a partition; all retain e_ab = e_{-a,-b}.
     """
 
-    def __init__(self, gf: GF, rates: np.ndarray, *, ep_evolved: bool = False,
-                 partition=None, check: bool = True):
+    def __init__(self, gf: GF, rates: np.ndarray, *, partition=None, check: bool = True):
         rates = np.asarray(rates, dtype=np.float64)
         if rates.shape != (gf.N, gf.N):
             raise ValueError(f"rates must be shaped ({gf.N}, {gf.N})")
         self.gf = gf
         self.rates = rates
-        self.ep_evolved = ep_evolved
         if check:
             self._validate(partition)
 
@@ -53,7 +51,7 @@ class ErrorDistribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"rates sum to {total}, not 1")
         gf = self.gf
-        if not self.ep_evolved and partition is not None:
+        if partition is not None:
             for cls in partition:
                 vals = [self.rates[a, b] for a, b in cls]
                 if max(vals) - min(vals) > 1e-12:
@@ -122,7 +120,7 @@ def ep_step(d: ErrorDistribution) -> ErrorDistribution:
         row = e[a]
         # out[b] = sum_c row[c] * row[b - c]
         out[a] = row[sub] @ row
-    return ErrorDistribution(gf, out / denom, ep_evolved=True)
+    return ErrorDistribution(gf, out / denom)
 
 
 def _character_matrix(gf: GF) -> np.ndarray:
@@ -138,7 +136,7 @@ def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return ErrorDistribution(d.gf, d.rates.copy(), ep_evolved=d.ep_evolved, check=False)
+        return ErrorDistribution(d.gf, d.rates.copy(), check=False)
     gf = d.gf
     W = _character_matrix(gf)
     powed = d.rates @ W.T  # row transforms, ehat[a, m], raised to 2^k by squaring
@@ -151,7 +149,7 @@ def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
     denom = float(powed[:, 0].real.sum())
     if denom <= 0.0:
         raise ZeroDivisionError("degenerate distribution: zero survival probability")
-    return ErrorDistribution(gf, numer / denom, ep_evolved=True, check=False)
+    return ErrorDistribution(gf, numer / denom, check=False)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ orbits of M), T's conjugation check and the protocol's sift all read it.
 T is assembled in one gather from its coefficients and checked by
 verify_T before it is returned: unitarity, the conjugation relation for
 every label, the order, the unbiasedness of the bases its powers give,
-and flat coefficients, all at 1e-10.  One walk over T's powers yields
+and flat coefficients, all at TOL = 1e-10.  One walk over T's powers yields
 both the order and the unbiasedness.  A T failing any check is never
 handed out; the `verify` command re-runs the checks and reports them.
 """
@@ -30,6 +30,9 @@ import numpy as np
 from .exceptions import ConfigError, InvariantViolation
 from .fields import _TABLE_MAX, GF, _prime_divisors
 from .pauli import phase_value
+
+# The tolerance of every residual check on T.
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_tab
     return worst
 
 
-def _walk_powers(T: np.ndarray, max_power: int, tol: float) -> tuple[int, float]:
+def _walk_powers(T: np.ndarray, max_power: int) -> tuple[int, float]:
     """(order, MUB deviation) from one walk over T, T^2, ...  The order is
     the smallest k with T^k a scalar multiple of the identity, 0 if none
     within 2(N+1) powers; the deviation is the largest ||T^k|^2 - 1/N| over
@@ -299,14 +302,14 @@ def _walk_powers(T: np.ndarray, max_power: int, tol: float) -> tuple[int, float]
         if k <= max_power:
             mub_dev = max(mub_dev, float(np.abs(np.abs(P) ** 2 - 1.0 / N).max()))
         scal = np.trace(P) / N
-        if not order and np.abs(P - scal * np.eye(N)).max() < tol and abs(scal) > 0.5:
+        if not order and np.abs(P - scal * np.eye(N)).max() < TOL and abs(scal) > 0.5:
             order = k
         if order and k >= max_power:
             break
     return order, mub_dev
 
 
-def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
+def build_T(gf: GF, params: SymplecticParams) -> TOperator:
     """Construct T from the closure coefficients; it is returned only if
     verify_T passes it on every check."""
     if gf.N > 64:
@@ -314,25 +317,25 @@ def build_T(gf: GF, params: SymplecticParams, tol: float = 1e-10) -> TOperator:
     f_table = _f_table(gf, params)
     lam = _coeffs_closure(gf, params, f_table)
     top = TOperator(gf, params, _assemble(gf, lam), lam, f_table)
-    rep = verify_T(top, tol)
+    rep = verify_T(top)
     if not rep.all_ok:
-        raise InvariantViolation("T construction failed: " + "; ".join(_failed_checks(rep, gf.N, tol)))
+        raise InvariantViolation("T construction failed: " + "; ".join(_failed_checks(rep, gf.N)))
     return top
 
 
-def _failed_checks(rep: VerificationReport, N: int, tol: float) -> list[str]:
-    """Each check the report fails at tol, named with its value."""
+def _failed_checks(rep: VerificationReport, N: int) -> list[str]:
+    """Each check the report fails at TOL, named with its value."""
     checks = (
-        ("unitarity residual", rep.unitarity_residual < tol, f"{rep.unitarity_residual:.2e}"),
-        ("conjugation residual", rep.conjugation_residual < tol, f"{rep.conjugation_residual:.2e}"),
+        ("unitarity residual", rep.unitarity_residual < TOL, f"{rep.unitarity_residual:.2e}"),
+        ("conjugation residual", rep.conjugation_residual < TOL, f"{rep.conjugation_residual:.2e}"),
         ("order up to phase", rep.order_ok, f"{rep.order_up_to_phase} (want {N + 1})"),
         ("MUB deviation", rep.mub_ok, f"{rep.mub_max_deviation:.2e}"),
-        ("Lambda flatness", rep.lambda_flatness < tol, f"{rep.lambda_flatness:.2e}"),
+        ("Lambda flatness", rep.lambda_flatness < TOL, f"{rep.lambda_flatness:.2e}"),
     )
     return [f"{name} {value}" for name, ok, value in checks if not ok]
 
 
-def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
+def verify_T(top: TOperator) -> VerificationReport:
     """Run every invariant on a built T and report residuals.
 
     The mutually-unbiased-bases check covers powers 1..N for p = 2 and
@@ -346,13 +349,13 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
     uni = float(np.abs(T.conj().T @ T - np.eye(N)).max())
     conj = _conjugation_residual(gf, top.params, T, top.f_table)
     max_power = N if gf.p == 2 else (N - 1) // 2
-    order, mub_dev = _walk_powers(T, max_power, tol)
+    order, mub_dev = _walk_powers(T, max_power)
     notes = []
     if gf.p != 2:
         Q = np.linalg.matrix_power(T, (N + 1) // 2)
         perm_resid = float(np.abs(np.sort(np.abs(Q), axis=0)[:-1, :]).max())
         notes.append(f"T^((N+1)/2) permutes the standard basis (residual {perm_resid:.2e})")
-        if perm_resid > tol:
+        if perm_resid > TOL:
             notes.append("WARNING: expected standard-basis permutation at power (N+1)/2")
 
     rep = VerificationReport(
@@ -362,10 +365,10 @@ def verify_T(top: TOperator, tol: float = 1e-10) -> VerificationReport:
         order_ok=order == N + 1,
         mub_powers_checked=max_power,
         mub_max_deviation=mub_dev,
-        mub_ok=mub_dev < tol,
+        mub_ok=mub_dev < TOL,
         lambda_flatness=float(np.abs(np.abs(top.coeffs) - 1.0 / N).max()),
         all_ok=False,
         notes=notes,
     )
-    rep.all_ok = not _failed_checks(rep, N, tol)
+    rep.all_ok = not _failed_checks(rep, N)
     return rep

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -684,3 +686,23 @@ def test_print_effective_config():
 def test_io_error_exit_code(tmp_path):
     res = run_cli(["--output", "/nonexistent-dir/x.json", "thresholds", "--p", "2", "--n", "1"])
     assert res.returncode == 5
+
+
+def test_output_that_is_not_a_regular_file_is_written_in_place(capsys, tmp_path):
+    # a rename over a FIFO would replace it with a regular file, and its reader
+    # would never get the report
+    argv = ["thresholds", "--p", "2", "--n", "1..3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    fifo = tmp_path / "report"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["--output", str(fifo)] + argv) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert len(got) == 1
+    report = json.loads(got[0])
+    assert report["config"].pop("output") == str(fifo)
+    assert report == json.loads(want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quditqkd.exceptions import ConfigError
-from quditqkd.fields import _is_prime, make_field
+from quditqkd.fields import MAX_FIELD_SIZE, _is_prime, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 # every realizable field with N <= 64, used for the exhaustive axiom sweep
@@ -110,6 +110,17 @@ def test_fields_above_256_have_a_modulus_but_no_arithmetic():
         with pytest.raises(ConfigError):
             getattr(gf, name)
     assert make_field(2, 16).N == 65536
+
+
+def test_every_modulus_is_pinned():
+    # sha256 over "p n modulus" of every prime power up to the construction
+    # cap, recorded when the moduli were found by Rabin's irreducibility test
+    fields = [(p, n) for p in range(2, MAX_FIELD_SIZE + 1) if _is_prime(p)
+              for n in range(1, 17) if p**n <= MAX_FIELD_SIZE]
+    text = "".join(f"{p} {n} {make_field(p, n).modulus}\n" for p, n in fields)
+    assert len(fields) == 6635
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "42467386406fb7e51be0019ee4eb4d971096190a110e8bb143959aef4a8a9e20")
 
 
 # ---------------------------------------------------------------

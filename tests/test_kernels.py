@@ -62,13 +62,20 @@ def small_pool(pool):
 
 def test_ep_round_paths_agree(small_pool):
     """The kernel and the plain-Python reference agree, pairing register
-    2j with 2j+1 and dropping the odd last one."""
-    add_t, a, b, s, bob = small_pool
-    want = ep_round_reference(*(x.tolist() for x in small_pool[1:]), add_t.tolist())
-    got = kernels.ep_round(a, b, s, bob, add_t)
-    assert len(want[0]) > 0
-    for w, g in zip(want, got):
-        assert g.tolist() == w
+    2j with 2j+1 and dropping the odd last one, in even and odd
+    characteristic (GF(16), GF(5) and GF(9))."""
+    rng = np.random.default_rng(12)
+    pools = [small_pool]
+    for p, n in [(5, 1), (3, 2)]:
+        add_t = make_field(p, n).add_table
+        a, b, s = rng.integers(0, p**n, (3, 2_001), dtype=np.uint8)
+        pools.append((add_t, a, b, s, add_t[s, a]))
+    for add_t, *regs in pools:
+        want = ep_round_reference(*(x.tolist() for x in regs), add_t.tolist())
+        got = kernels.ep_round(*regs, add_t)
+        assert len(want[0]) > 0
+        for w, g in zip(want, got):
+            assert g.dtype == np.uint8 and g.tolist() == w
 
 
 def test_group_sums_paths_agree():

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import PRIME_POWERS, cached_params, cached_partition
-from quditqkd import protocol
+from quditqkd import _kernels, protocol
 from quditqkd.exceptions import ConfigError
 from quditqkd.fields import make_field
 from quditqkd.protocol import (
@@ -136,7 +136,7 @@ def test_per_qubit_measure_probability():
 # 8-bit variates
 # ---------------------------------------------------------------
 
-B = protocol._BLOCK
+B = _kernels.BLOCK
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, B - 1, B, B + 1, 3 * B + 1])
@@ -154,7 +154,7 @@ def test_uint8_below_matches_integers_bit_for_bit(count):
 
 def test_uint8_below_is_blind_to_the_block_size(monkeypatch):
     # a block that is not a whole number of 32-bit outputs
-    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    monkeypatch.setattr(_kernels, "BLOCK", 7)
     for R in range(1, 257):
         mine, ref = np.random.default_rng(R), np.random.default_rng(R)
         assert np.array_equal(protocol._uint8_below(mine, R, 1001),
@@ -235,7 +235,7 @@ def test_twirl_labels_match_reference_bit_for_bit(N, count):
 
 @pytest.mark.parametrize("N", [2, 16, 32])
 def test_twirl_labels_are_blind_to_the_block_size(monkeypatch, N):
-    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    monkeypatch.setattr(_kernels, "BLOCK", 7)
     _check_twirl(N, 1001)
 
 
@@ -284,7 +284,7 @@ def test_categorical_matches_choice_bit_for_bit(count):
 
 
 def test_categorical_is_blind_to_the_block_size(monkeypatch):
-    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    monkeypatch.setattr(_kernels, "BLOCK", 7)
     _check_categorical(2, 1001)
 
 
@@ -302,24 +302,24 @@ def test_gf_add_matches_add_table(p, n):
     gf = make_field(p, n)
     x, y = (v.ravel().astype(np.uint8) for v in np.indices((gf.N, gf.N)))
     want = gf.add_table[x, y]
-    assert (protocol._gf_add(gf, x, y) == want).all()
+    assert (_kernels.gf_add(gf.add_table, x, y) == want).all()
     # into a slice of a longer array
     out = np.zeros(x.size + 3, np.uint8)
-    protocol._gf_add(gf, x, y, out=out[1:-2])
+    _kernels.gf_add(gf.add_table, x, y, out=out[1:-2])
     assert (out[1:-2] == want).all() and not out[[0, -2, -1]].any()
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p, n in FIELDS_TO_256 if p**n <= 32])
 def test_gf_add_walks_the_input_block_by_block(monkeypatch, p, n):
-    # odd p looks the sums up a _BLOCK at a time: N^2 pairs span several
+    # odd p looks the sums up a BLOCK at a time: N^2 pairs span several
     # blocks of 7, the last one partial when 7 does not divide N^2
-    monkeypatch.setattr(protocol, "_BLOCK", 7)
+    monkeypatch.setattr(_kernels, "BLOCK", 7)
     gf = make_field(p, n)
     x, y = (v.ravel().astype(np.uint8) for v in np.indices((gf.N, gf.N)))
     want = gf.add_table[x, y]
-    assert (protocol._gf_add(gf, x, y) == want).all()
+    assert (_kernels.gf_add(gf.add_table, x, y) == want).all()
     out = np.zeros(x.size + 3, np.uint8)
-    protocol._gf_add(gf, x[1:], y[1:], out=out[2:-2])
+    _kernels.gf_add(gf.add_table, x[1:], y[1:], out=out[2:-2])
     assert (out[2:-2] == want[1:]).all() and not out[[0, 1, -2, -1]].any()
 
 
@@ -388,7 +388,7 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
     test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
     block_sizes = np.array([np.bincount(set_idx[i : i + block], minlength=5)
                             for i in range(0, n, block)])
-    monkeypatch.setattr(protocol, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     tested, e_hats = estimate_reference(set_idx, eff_a, test_counts, np.random.default_rng(5))
     est = estimate_qer(gf, set_idx, block_sizes, pool, test_counts, 0.9, np.random.default_rng(5))
     assert est.kept == n - test_counts.sum()
@@ -661,7 +661,7 @@ def n16_grouped_attack_config(L=15_000_000):
 def test_multi_block_report_is_pinned():
     # the pinned CLI reports fit in one or two blocks at N <= 8
     rep = run_protocol(n16_grouped_attack_config(), ChannelModel.grouped_qubit_attack(0.84))
-    assert rep.n_sifted > 3 * protocol._BLOCK
+    assert rep.n_sifted > 3 * _kernels.BLOCK
     assert rep.survivors_per_round == [45208, 9675, 4623, 2310] and rep.key_length == 92
     digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == "6bfa8726ec314d90e0c6a61387e2fd09"
@@ -722,7 +722,7 @@ def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
         ch = ChannelModel.grouped_qubit_attack(0.3)
     cfg = make_config(p, n, L=50_000, ep_rounds=1, pec_r=5, abort_threshold=None if p == 2 else 0.5)
     want = run_protocol(cfg, ch).to_dict()
-    monkeypatch.setattr(protocol, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     assert run_protocol(cfg, ch).to_dict() == want
 
 

@@ -90,9 +90,9 @@ def test_central_symmetry_checked_against_scalar_negation(p, n):
         moved[gf.neg(a), gf.neg(b)] -= shift
         if bad:
             with pytest.raises(ValueError, match="central symmetry"):
-                ErrorDistribution(gf, moved, ep_evolved=True)
+                ErrorDistribution(gf, moved)
         else:
-            ErrorDistribution(gf, moved, ep_evolved=True)
+            ErrorDistribution(gf, moved)
 
 
 # ---------------------------------------------------------------

@@ -521,7 +521,7 @@ def test_closure_candidate_passes_every_check(p, n):
     T = _assemble(gf, lam)
     assert unitarity_residual(T) < TOL
     assert _conjugation_residual(gf, top.params, T, top.f_table) < TOL
-    order, mub_dev = _walk_powers(T, gf.N if p == 2 else (gf.N - 1) // 2, TOL)
+    order, mub_dev = _walk_powers(T, gf.N if p == 2 else (gf.N - 1) // 2)
     assert order == gf.N + 1 and mub_dev < TOL
     assert np.abs(np.abs(lam) - 1.0 / gf.N).max() < TOL
 
@@ -586,5 +586,5 @@ def test_walk_powers_matches_separate_walks(p, n):
     drift = np.diag(np.exp(1j * np.sqrt(2) * np.arange(N)))
     for M in (T, swap, 1.1 * swap, drift, T @ drift):
         for max_power in range(N + 1):
-            assert _walk_powers(M, max_power, TOL) == (reference_order(M, TOL),
-                                                        reference_mub_deviation(M, max_power))
+            assert _walk_powers(M, max_power) == (reference_order(M, TOL),
+                                                   reference_mub_deviation(M, max_power))
