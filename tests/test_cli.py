@@ -706,3 +706,37 @@ def test_output_that_is_not_a_regular_file_is_written_in_place(capsys, tmp_path)
     report = json.loads(got[0])
     assert report["config"].pop("output") == str(fifo)
     assert report == json.loads(want)
+
+
+def test_output_keeps_the_mode_a_plain_write_gives(tmp_path):
+    # a new report gets 0o666 less the umask and an existing one keeps its
+    # own mode, as open(path, "w") gives, not the temporary file's 0o600
+    argv = ["thresholds", "--p", "2", "--n", "2"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("{}")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        with redirect_stdout(io.StringIO()):
+            for path in (new, old):
+                assert cli.main(["--output", str(path)] + argv) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(new).st_mode) == 0o644
+    assert stat.S_IMODE(os.stat(old).st_mode) == 0o640
+    assert json.loads(old.read_text())["command"] == "thresholds"
+
+
+def test_output_onto_a_symlink_writes_its_target(capsys, tmp_path):
+    # a rename over the link would replace the link and leave the target stale
+    argv = ["thresholds", "--p", "2", "--n", "1..3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    target, link = tmp_path / "tgt.json", tmp_path / "link.json"
+    target.write_text("{}")
+    link.symlink_to(target)
+    assert cli.main(["--output", str(link)] + argv) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    report = json.loads(target.read_text())
+    assert report["config"].pop("output") == str(link)
+    assert report == json.loads(want)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,7 @@ def test_matches_reference_operator_up_to_phase(p, n, reference):
 def test_verification_suite(p, n):
     top = cached_top(p, n)
     rep = verify_T(top)
+    assert top.report == rep
     assert rep.unitarity_residual < TOL
     assert rep.conjugation_residual < TOL
     assert rep.order_up_to_phase == top.gf.N + 1
@@ -551,6 +554,22 @@ def test_build_rejects_a_failing_candidate(monkeypatch, capsys):
         assert str(err.value) == "T construction failed: " + failures
         assert cli.main(["verify", "--p", "2", "--n", "2"]) == 4
         assert capsys.readouterr().err == f"invariant failure: T construction failed: {failures}\n"
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_verify_checks_its_T_once(monkeypatch, capsys, p, n):
+    # verify reports the checks build_T ran, so the conjugation relation, the
+    # costliest of them, is evaluated once per run
+    real, calls = toperator._conjugation_residual, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(toperator, "_conjugation_residual", counted)
+    assert cli.main(["verify", "--p", str(p), "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_ok"] is True
+    assert len(calls) == 1
 
 
 def reference_order(T, tol):
