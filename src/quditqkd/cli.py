@@ -121,7 +121,7 @@ def _resolve_options(parser: argparse.ArgumentParser, given: dict) -> argparse.N
     actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     values = {k: _DEFAULTS.get(k) for k in actions}
     if given.get("config"):
-        values.update(_read_config_file(given["config"], parser, actions, given))
+        values.update(_read_config_file(given["config"], parser, actions))
     values.update(given)
     missing = [f"--{k}" for k in _REQUIRED[given["command"]] if values[k] is None]
     if missing:
@@ -130,9 +130,10 @@ def _resolve_options(parser: argparse.ArgumentParser, given: dict) -> argparse.N
 
 
 def _read_config_file(path: str, parser: argparse.ArgumentParser,
-                      actions: dict[str, argparse.Action], given: dict) -> dict:
-    """The file's values for the subcommand's options that argv left unset.
-    A key no subcommand has is an error; one another subcommand has is ignored."""
+                      actions: dict[str, argparse.Action]) -> dict:
+    """The file's values for the subcommand's options, each checked even where
+    a flag overrides it.  A key no subcommand has is an error; one another
+    subcommand has is ignored."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -149,7 +150,7 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser,
         attr = key.replace("-", "_")
         if attr not in flag_keys:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr in actions and attr not in given:
+        if attr in actions:
             values[attr] = _convert_file_value(actions[attr], key, value)
     return values
 

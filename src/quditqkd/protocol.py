@@ -60,7 +60,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import ConfigError, InvariantViolation
 from .fields import GF
-from .rates import (ErrorDistribution, ep_closed_form, pec_phase_bound, qer_estimator, thresholds,
+from .rates import (ErrorDistribution, ep_closed_form, pec_bound_terms, qer_estimator, thresholds,
                     worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
 
@@ -179,6 +179,8 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
     NumPy drops the rest of its last output.  The rule is an exact uniform sampler whatever
     NumPy's own algorithm, so the law of the draws never depends on it.
     """
+    if not 1 <= R <= 256:
+        raise ValueError(f"8-bit variates cover 1 <= R <= 256 values, got R = {R}")
     if R == 1:
         return np.zeros(count, np.uint8)  # NumPy draws nothing for a single value
     out = np.empty(count, np.uint8)
@@ -293,6 +295,9 @@ class ProtocolConfig:
         return thresholds(self.gf.N).e_qer - self.delta
 
     def validate(self) -> None:
+        if self.gf.N + 1 > 256:  # the N + 1 set indices are 8-bit variates (_uint8_below)
+            raise ConfigError(
+                f"simulation supports N <= 255 (N + 1 <= 256 sets), got N = {self.gf.N}")
         if not 1 <= self.L < 2**63:  # the binomial sift count takes a C long
             raise ConfigError(f"L must lie in [1, 2^63), got {self.L}")
         if (self.test_count is None) == (self.test_fraction is None):
@@ -475,13 +480,14 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
 def _bounds_after(wc: Optional[ErrorDistribution], e00_eff: float, k: int):
     """r -> worst-case (spin, phase) residual bounds after k rounds and [r,1,r]
     voting at assumed initial rate e00_eff, or None without a worst case wc.
-    The closed form is the only r-free work, so it is built once, on first use."""
+    The closed form and the bound's other r-free terms are built once, on
+    first use."""
     if wc is None:
         return None
-    closed = cache(lambda: ep_closed_form(wc, k))
+    terms = cache(lambda: pec_bound_terms(ep_closed_form(wc, k), e00_eff, k))
 
     def bounds(r: int) -> tuple[float, float]:
-        b = pec_phase_bound(closed(), e00_eff, k, r)
+        b = terms().at(r)
         return b.spin, b.phase
     return bounds
 
@@ -529,14 +535,23 @@ def _choose_r(config: ProtocolConfig, bounds, survivors: int, last: bool):
 # Full protocol
 # ----------------------------------------------------------------------
 
+@cache
+def _field_setup(gf: GF) -> tuple[SymplecticParams, tuple[tuple[tuple[int, int], ...], ...]]:
+    """M's parameters and the label classes of gf, found once per field and
+    shared by every run on it, so the classes are a read-only tuple.  Two
+    threads starting on a new field together may both find them; they find
+    the same."""
+    params = choose_M(gf, find_char_poly(gf))
+    return params, tuple(equiv_classes(gf, params))
+
+
 def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     """sift -> estimate and abort -> purification rounds -> majority vote."""
     config.validate()
     gf = config.gf
     channel.validate(gf)
     N = gf.N
-    params = choose_M(gf, find_char_poly(gf))
-    partition = equiv_classes(gf, params)
+    params, partition = _field_setup(gf)
     rng = np.random.default_rng(config.rng_seed)
 
     # -- transmission + sift (law-equivalent subsampling of matches) ----

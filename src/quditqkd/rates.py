@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -123,11 +124,15 @@ def ep_step(d: ErrorDistribution) -> ErrorDistribution:
     return ErrorDistribution(gf, out / denom)
 
 
+@cache
 def _character_matrix(gf: GF) -> np.ndarray:
-    """W[m, j] = omega_p^(m . j) with the digit dot product mod p."""
+    """Read-only W[m, j] = omega_p^(m . j) with the digit dot product mod p,
+    built once per field."""
     digits = gf.coeff_table  # (N, n)
     dots = (digits @ digits.T) % gf.p
-    return np.exp(2j * np.pi / gf.p) ** dots
+    W = np.exp(2j * np.pi / gf.p) ** dots
+    W.flags.writeable = False
+    return W
 
 
 def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
@@ -162,6 +167,39 @@ class PecBounds:
     phase: float
 
 
+@dataclass(frozen=True)
+class PecBoundTerms:
+    """The r-free part of pec_phase_bound for one (d_k, e00_initial, k):
+    the spin error rate of d_k, the prefactor N - 1 and the base 1 - rho/2
+    (0 at e_00 = 1, where there are no phase errors)."""
+
+    spin_rate: float
+    prefactor: int
+    base: float
+
+    def at(self, r: int) -> PecBounds:
+        """The bounds for repetition count r, in Python floats."""
+        if r < 1:
+            raise ValueError("repetition count r must be >= 1")
+        return PecBounds(spin=r * self.spin_rate, phase=self.prefactor * self.base ** r)
+
+
+def pec_bound_terms(d_k: ErrorDistribution, e00_initial: float, k: int) -> PecBoundTerms:
+    """The r-free terms of pec_phase_bound(d_k, e00_initial, k, r)."""
+    gf = d_k.gf
+    if gf.p != 2:
+        raise ValueError("phase bound is only derived for p = 2")
+    N = gf.N
+    if e00_initial <= 1.0 / (N + 2):
+        raise ValueError(f"e00 = {e00_initial} outside the dominance region (> 1/(N+2))")
+    base = 0.0
+    if e00_initial < 1.0:
+        x = (1.0 - e00_initial) / (N + 1)
+        rho = ((e00_initial - x) / (e00_initial + x)) ** (2 ** (k + 1))
+        base = 1.0 - rho / 2.0
+    return PecBoundTerms(spin_rate=d_k.spin_error_rate(), prefactor=N - 1, base=base)
+
+
 def pec_phase_bound(d_k: ErrorDistribution, e00_initial: float, k: int, r: int) -> PecBounds:
     """Residual-error bounds after [r,1,r] majority voting.
 
@@ -171,24 +209,14 @@ def pec_phase_bound(d_k: ErrorDistribution, e00_initial: float, k: int, r: int) 
            form with the tightening factor t set to 1).  At e_00 = 1
            there are no phase errors at all and the bound is 0.
 
+    Only the powers of r depend on r: pec_bound_terms holds the rest, so a
+    search over r builds it once per (d_k, e00_initial, k) and evaluates
+    PecBoundTerms.at for each r, and this function is that evaluation.
+
     The bound formula is valid for any r >= 1 and is monotone decreasing
     in r; the majority-vote operation itself additionally requires odd r.
     """
-    gf = d_k.gf
-    if gf.p != 2:
-        raise ValueError("phase bound is only derived for p = 2")
-    if r < 1:
-        raise ValueError("repetition count r must be >= 1")
-    N = gf.N
-    if e00_initial <= 1.0 / (N + 2):
-        raise ValueError(f"e00 = {e00_initial} outside the dominance region (> 1/(N+2))")
-    spin = r * d_k.spin_error_rate()
-    if e00_initial >= 1.0:
-        return PecBounds(spin=spin, phase=0.0)
-    x = (1.0 - e00_initial) / (N + 1)
-    rho = ((e00_initial - x) / (e00_initial + x)) ** (2 ** (k + 1))
-    phase = (N - 1) * (1.0 - rho / 2.0) ** r
-    return PecBounds(spin=spin, phase=phase)
+    return pec_bound_terms(d_k, e00_initial, k).at(r)
 
 
 @dataclass(frozen=True)

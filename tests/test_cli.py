@@ -18,12 +18,13 @@ from quditqkd import cli, protocol
 RUN = [sys.executable, "-m", "quditqkd.cli"]
 
 
-def run_cli(args, **env):
+def run_cli(args, timeout=None, **env):
     """Run the CLI in a child Python that inherits this environment (so it finds
     the package through PYTHONPATH or an install), minus any QUDIT_QKD_SEED from
     the calling shell; pass QUDIT_QKD_SEED in ``env`` to set it on purpose."""
     child_env = {k: v for k, v in os.environ.items() if k != "QUDIT_QKD_SEED"}
-    return subprocess.run(RUN + args, capture_output=True, text=True, env={**child_env, **env})
+    return subprocess.run(RUN + args, capture_output=True, text=True, env={**child_env, **env},
+                          timeout=timeout)
 
 
 def test_thresholds_csv_matches_reference_table(tmp_path):
@@ -540,6 +541,13 @@ OPTION_RESOLUTION = {
     "file n null": (
         "verify --p 2 --config {cfg}", {"n": None},
         (NO_OUTPUT, 3, "config error: invalid extension degree 'None'")),
+    "file value checked under a flag": (
+        "simulate --p 2 --L 1000 --channel noiseless --seed 1 --delta 0.02 --config {cfg}",
+        {"delta": "x"},
+        (NO_OUTPUT, 3, "config error: config key 'delta': invalid value 'x'")),
+    "file common value checked under a flag": (
+        "--seed 2 --config {cfg} verify --p 2", {"seed": "x"},
+        (NO_OUTPUT, 3, "config error: config key 'seed': invalid value 'x'")),
     "file keys of another command": (
         "verify --p 2 --config {cfg} --print-effective-config", {"L": 5, "delta": "x"},
         ("866f8f81aa8e1adbedfb4ea90c54a432", 0, "")),
@@ -645,6 +653,16 @@ def test_config_file_values_are_type_checked(tmp_path, values):
     assert res.returncode == 3
     assert res.stderr.startswith("config error:")
     assert "Traceback" not in res.stderr
+
+
+def test_simulate_rejects_a_field_with_more_sets_than_a_byte_indexes():
+    # N = 256 has 257 sets, more than 8-bit set indices hold: a config error,
+    # not a run that never returns
+    res = run_cli(["simulate", "--p", "2", "--n", "8", "--L", "1000", "--channel", "noiseless",
+                   "--abort-threshold", "0.5", "--seed", "1"], timeout=30)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == ("config error: simulation supports N <= 255 (N + 1 <= 256 sets), "
+                          "got N = 256\n")
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "2", "--workers", "0"]])

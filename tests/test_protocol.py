@@ -22,7 +22,7 @@ from quditqkd.protocol import (
     sample_raw_labels,
     sift,
 )
-from quditqkd.rates import ep_step, worst_case_distribution
+from quditqkd.rates import ErrorDistribution, ep_step, worst_case_distribution
 from quditqkd.toperator import conjugation_tables
 
 
@@ -727,12 +727,16 @@ def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
 
 
 def test_bounds_built_once_per_round_count(monkeypatch):
-    """An automatic-parameter run builds the worst-case distribution once
-    and its closed form once per round count, not once per candidate r."""
-    calls = []
+    """An automatic-parameter run builds the worst-case distribution once,
+    and its closed form and the bounds' r-free terms (the spin error rate
+    among them) once per round count, not once per candidate r."""
+    calls, reads = [], []
     for name in ("worst_case_distribution", "ep_closed_form"):
         fn = getattr(protocol, name)
         monkeypatch.setattr(protocol, name, lambda *a, _fn=fn: calls.append(_fn) or _fn(*a))
+    spin_error_rate = ErrorDistribution.spin_error_rate
+    monkeypatch.setattr(ErrorDistribution, "spin_error_rate",
+                        lambda d: reads.append(d) or spin_error_rate(d))
     gf, _ = cached_params(2, 2)
     ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.6))
     cfg = make_config(2, 2, L=1_000_000, rng_seed=5)
@@ -741,6 +745,22 @@ def test_bounds_built_once_per_round_count(monkeypatch):
     assert not rep.aborted and rep.analytic_target_met is False
     assert rep.ep_rounds == cfg.ep_rounds_max
     assert len(calls) <= cfg.ep_rounds_max + 2
+    assert 0 < len(reads) <= cfg.ep_rounds_max + 2
+
+
+def test_field_setup_runs_once_per_field(monkeypatch):
+    # M's parameters and the label classes are found once per field, not per trial
+    found = []
+    monkeypatch.setattr(protocol, "find_char_poly",
+                        lambda gf, _fn=protocol.find_char_poly: found.append(gf) or _fn(gf))
+    protocol._field_setup.cache_clear()
+    for p, n in ((2, 1), (2, 2)):
+        cfg = make_config(p, n, L=30_000)
+        reps = run_trials(cfg, ChannelModel.noiseless(), 5, workers=1)
+        assert all(not r.aborted for r in reps)
+    assert found == [make_field(2, 1), make_field(2, 2)]
+    params, partition = protocol._field_setup(make_field(2, 2))
+    assert partition == tuple(cached_partition(2, 2)) and params == cached_params(2, 2)[1]
 
 
 def test_qer_030_completes_with_low_mismatch_rate():
@@ -826,3 +846,18 @@ def test_config_rejects_delta_and_epsilon_outside_their_ranges(kw):
 def test_config_rejects_even_r():
     with pytest.raises(ConfigError):
         make_config(2, 1, pec_r=4).validate()
+
+
+def test_config_rejects_more_sets_than_8_bit_indices_hold():
+    # N = 256 has 257 sets; N = 251, the largest field below, is accepted
+    cfg = ProtocolConfig(make_field(2, 8), L=1000, rng_seed=1, test_fraction=0.01,
+                         abort_threshold=0.5)
+    with pytest.raises(ConfigError, match="N <= 255"):
+        cfg.validate()
+    replace(cfg, gf=make_field(251, 1)).validate()
+
+
+@pytest.mark.parametrize("R", [0, 257, 1000])
+def test_uint8_below_rejects_ranges_outside_a_byte(R):
+    with pytest.raises(ValueError, match="1 <= R <= 256"):
+        protocol._uint8_below(np.random.default_rng(0), R, 10)

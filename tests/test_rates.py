@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_params, cached_partition
+from quditqkd.protocol import _r_grid
 from quditqkd.rates import (
     ErrorDistribution,
     attack_calculus,
@@ -14,6 +15,7 @@ from quditqkd.rates import (
     eve_ber,
     intercept_resend_sbmer_ceiling,
     make_error_distribution,
+    pec_bound_terms,
     pec_phase_bound,
     qer_estimator,
     thresholds,
@@ -298,6 +300,36 @@ def test_pec_phase_bound_monotone_in_r():
         prev = cur
 
 
+def _pec_phase_bound_reference(d_k, e00_initial, k, r):
+    """pec_phase_bound as one expression per bound, before its r-free split."""
+    N = d_k.gf.N
+    spin = r * d_k.spin_error_rate()
+    if e00_initial >= 1.0:
+        return spin, 0.0
+    x = (1.0 - e00_initial) / (N + 1)
+    rho = ((e00_initial - x) / (e00_initial + x)) ** (2 ** (k + 1))
+    return spin, (N - 1) * (1.0 - rho / 2.0) ** r
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_pec_bound_terms_evaluate_bit_for_bit(n):
+    # the r-free terms evaluated at every r the protocol searches give the
+    # one-expression bounds exactly, so reports keep their bytes
+    gf, _ = cached_params(2, n)
+    part = cached_partition(2, n)
+    grid = _r_grid(10**6)
+    for e00 in (0.31, 0.6, 0.8425, 0.97, 1.0):
+        wc = worst_case_distribution(gf, part, e00)
+        for k in range(7):
+            d_k = ep_closed_form(wc, k)
+            terms = pec_bound_terms(d_k, e00, k)
+            for r in grid:
+                want = _pec_phase_bound_reference(d_k, e00, k, r)
+                b = terms.at(r)
+                assert (b.spin, b.phase) == want, (e00, k, r)
+                assert pec_phase_bound(d_k, e00, k, r) == b
+
+
 def test_pec_bounds_validate_inputs():
     gf, _ = cached_params(3, 1)
     d = make_error_distribution(gf, cached_partition(3, 1), {(0, 0): 1.0})
@@ -307,6 +339,8 @@ def test_pec_bounds_validate_inputs():
     d2 = worst_case_distribution(gf2, cached_partition(2, 1), 0.2)
     with pytest.raises(ValueError):
         pec_phase_bound(d2, 0.2, 0, 1)  # e00 below the dominance region
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        pec_phase_bound(d2, 0.5, 0, 0)
 
 
 # ---------------------------------------------------------------
