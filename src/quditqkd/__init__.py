@@ -1,17 +1,16 @@
 """Higher-dimensional prepare-and-measure QKD toolkit.
 
-Finite fields GF(p^n), generalized Pauli operators, the order-(N+1)
-basis-cycling unitary with its label orbits, error-rate recursions and
-tolerance thresholds, and a seeded Pauli-frame Monte-Carlo simulator of
-the prepare-and-measure protocol under configurable channels and
-eavesdropping attacks.
+Finite fields GF(p^n), the order-(N+1) basis-cycling unitary with its
+action on generalized Pauli (Weyl-Heisenberg) labels and their orbits,
+error-rate recursions and tolerance thresholds, and a seeded Pauli-frame
+Monte-Carlo simulator of the prepare-and-measure protocol under
+configurable channels and eavesdropping attacks.
 """
 
 __version__ = "0.1.0"
 
 from .exceptions import ConfigError, InvariantViolation
 from .fields import GF, make_field
-from .pauli import PauliLabel, bell_state, pauli_compose, pauli_matrix, projector_standard_diff
 from .protocol import (
     ChannelModel,
     ProtocolConfig,
@@ -45,7 +44,6 @@ from .toperator import (
     VerificationReport,
     build_T,
     choose_M,
-    conjugate_label,
     equiv_classes,
     find_char_poly,
     verify_T,
@@ -54,18 +52,12 @@ from .toperator import (
 __all__ = [
     "GF",
     "make_field",
-    "PauliLabel",
-    "pauli_matrix",
-    "pauli_compose",
-    "bell_state",
-    "projector_standard_diff",
     "SymplecticParams",
     "TOperator",
     "VerificationReport",
     "find_char_poly",
     "choose_M",
     "build_T",
-    "conjugate_label",
     "equiv_classes",
     "verify_T",
     "ErrorDistribution",

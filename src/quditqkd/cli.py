@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .exceptions import ConfigError, InvariantViolation
 from .fields import make_field
-from .protocol import ChannelModel, ProtocolConfig, run_protocol, run_trials
+from .protocol import ChannelModel, ProtocolConfig, field_setup, run_protocol, run_trials
 from .rates import attack_calculus, thresholds, worst_case_distribution
 # verify_T is not called here; kept because benchmark instrumentation wraps cli.verify_T by name
 from .toperator import build_T, choose_M, equiv_classes, find_char_poly, verify_T  # noqa: F401
@@ -336,8 +336,9 @@ def _make_channel(args, gf) -> ChannelModel:
     if kind == "pauli-iid":
         if args.qer is None:
             raise ConfigError("pauli-iid channel needs --qer")
-        params = choose_M(gf, find_char_poly(gf))
-        dist = worst_case_distribution(gf, equiv_classes(gf, params), 1.0 - args.qer)
+        if not 0.0 <= args.qer <= 1.0:
+            raise ConfigError("--qer must lie in [0, 1]")
+        dist = worst_case_distribution(gf, field_setup(gf)[1], 1.0 - args.qer)
         return ChannelModel.pauli_iid(dist)
     if kind == "intercept-resend":
         if args.q is None:

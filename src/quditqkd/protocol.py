@@ -536,11 +536,11 @@ def _choose_r(config: ProtocolConfig, bounds, survivors: int, last: bool):
 # ----------------------------------------------------------------------
 
 @cache
-def _field_setup(gf: GF) -> tuple[SymplecticParams, tuple[tuple[tuple[int, int], ...], ...]]:
+def field_setup(gf: GF) -> tuple[SymplecticParams, tuple[tuple[tuple[int, int], ...], ...]]:
     """M's parameters and the label classes of gf, found once per field and
-    shared by every run on it, so the classes are a read-only tuple.  Two
-    threads starting on a new field together may both find them; they find
-    the same."""
+    shared by every run on it and by the CLI's pauli-iid channel, so the
+    classes are a read-only tuple.  Two threads starting on a new field
+    together may both find them; they find the same."""
     params = choose_M(gf, find_char_poly(gf))
     return params, tuple(equiv_classes(gf, params))
 
@@ -551,7 +551,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     gf = config.gf
     channel.validate(gf)
     N = gf.N
-    params, partition = _field_setup(gf)
+    params, partition = field_setup(gf)
     rng = np.random.default_rng(config.rng_seed)
 
     # -- transmission + sift (law-equivalent subsampling of matches) ----

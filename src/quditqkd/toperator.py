@@ -29,7 +29,6 @@ import numpy as np
 
 from .exceptions import ConfigError, InvariantViolation
 from .fields import _TABLE_MAX, GF, _prime_divisors
-from .pauli import phase_value
 
 # The tolerance of every residual check on T.
 TOL = 1e-10
@@ -152,15 +151,6 @@ def conjugation_tables(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np
     return tables[0], tables[1]
 
 
-def conjugate_label(gf: GF, params: SymplecticParams, label: tuple[int, int], k: int) -> tuple[int, int]:
-    """M^k applied to (a, b); the phase-free orbit map."""
-    a, b = label
-    gf._check(a, b)
-    ca, cb = conjugation_tables(gf, params)
-    k %= gf.N + 1
-    return int(ca[k, a, b]), int(cb[k, a, b])
-
-
 def equiv_classes(gf: GF, params: SymplecticParams) -> list[tuple[tuple[int, int], ...]]:
     """Orbits of GF(N)^2 under iteration of M, canonically sorted: column
     (a, b) of the conjugation tables is the orbit of (a, b), and labels with
@@ -277,8 +267,8 @@ def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_tab
     add, sub = gf.add_table, gf.sub_table
     a_img, b_img = (t[1] for t in conjugation_tables(gf, params))
     chi = _char_table(gf)
-    # omega^f(a,b) for every label, looked up from the scalar phase values
-    values = np.array([[phase_value(gf.p, k, d) for k in range(2 * gf.p)] for d in (1, 2)])
+    # omega_p^(k/d) for every value k/d of f (omega_2^(1/2) = +i), looked up per label
+    values = np.array([[np.exp(2j * np.pi * k / (gf.p * d)) for k in range(2 * gf.p)] for d in (1, 2)])
     ph = values[f_table[1] - 1, f_table[0]]
     worst = 0.0
     for a in gf.elements():

@@ -9,7 +9,6 @@ from scipy.stats import chi2
 
 from conftest import cached_params, cached_partition, cached_top
 from quditqkd.fields import make_field
-from quditqkd.pauli import PauliLabel, pauli_matrix
 from quditqkd.protocol import ChannelModel, ProtocolConfig, run_protocol, run_trials, sift
 from quditqkd.rates import (
     attack_calculus,
@@ -21,6 +20,7 @@ from quditqkd.rates import (
     worst_case_distribution,
 )
 from quditqkd.toperator import verify_T
+from weyl_oracle import pauli_matrix
 
 ALL_N = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
@@ -43,7 +43,7 @@ def test_acceptance_1_reference_operators():
     gf3 = make_field(3, 1)
     w3 = np.exp(2j * np.pi / 3)
     ref3 = sum(
-        w3 ** (2 * (i == 0) + (j == 0)) * pauli_matrix(gf3, PauliLabel(i, j))
+        w3 ** (2 * (i == 0) + (j == 0)) * pauli_matrix(gf3, i, j)
         for i in range(3)
         for j in range(3)
     ) / 3
@@ -58,7 +58,7 @@ def test_acceptance_1_reference_operators():
             ref4 += (
                 (-1j) ** half
                 * (-1.0) ** (gf4.trace(s) + (1 if s == 1 else 0))
-                * pauli_matrix(gf4, PauliLabel(i, j))
+                * pauli_matrix(gf4, i, j)
             )
     ref4 /= 4
 

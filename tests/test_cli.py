@@ -357,11 +357,16 @@ def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
      "--delta", "-0.5", "--abort-threshold", "0.3", "--seed", "1"],
     # 2**-1 is a float, which the attack calculus cannot take as a dimension
     ["attack", "--p", "2", "--n", "-1", "--q", "0.5"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "pauli-iid",
+     "--qer", "nan", "--seed", "1"],
 ])
 def test_bad_arguments_are_config_errors(capsys, argv):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if "--qer" in argv:
+        # the message names the flag the user passed, not the e00 it sets
+        assert err == "config error: --qer must lie in [0, 1]\n"
 
 
 def test_simulate_requires_seed():

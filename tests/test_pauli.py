@@ -2,98 +2,70 @@ import numpy as np
 import pytest
 
 from quditqkd.fields import make_field
-from quditqkd.pauli import (
-    PauliLabel,
-    bell_state,
-    pauli_compose,
-    pauli_matrix,
-    projector_standard_diff,
-)
+from weyl_oracle import pauli_matrix
 
 MATRIX_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
 
 def test_x_matrix_is_sigma_x():
     gf = make_field(2, 1)
-    assert np.allclose(pauli_matrix(gf, PauliLabel(1, 0)), [[0, 1], [1, 0]])
+    assert np.allclose(pauli_matrix(gf, 1, 0), [[0, 1], [1, 0]])
 
 
 def test_z_matrix_is_sigma_z():
     gf = make_field(2, 1)
-    assert np.allclose(pauli_matrix(gf, PauliLabel(0, 1)), np.diag([1.0, -1.0]))
+    assert np.allclose(pauli_matrix(gf, 0, 1), np.diag([1.0, -1.0]))
 
 
 def test_z_matrix_qutrit():
     gf = make_field(3, 1)
     w = np.exp(2j * np.pi / 3)
-    assert np.allclose(pauli_matrix(gf, PauliLabel(0, 1)), np.diag([1, w, w**2]))
+    assert np.allclose(pauli_matrix(gf, 0, 1), np.diag([1, w, w**2]))
 
 
 def test_compose_x_then_z():
     gf = make_field(2, 1)
-    out = pauli_compose(gf, PauliLabel(1, 0), PauliLabel(0, 1))
-    assert (out.a, out.b, out.phase_num) == (1, 1, 0)
+    assert np.allclose(pauli_matrix(gf, 1, 0) @ pauli_matrix(gf, 0, 1), pauli_matrix(gf, 1, 1))
 
 
 def test_compose_z_then_x_qutrit():
     gf = make_field(3, 1)
-    out = pauli_compose(gf, PauliLabel(0, 1), PauliLabel(1, 0))
-    assert (out.a, out.b) == (1, 1)
-    assert (out.phase_num, out.phase_den) == (1, 1)
+    w = np.exp(2j * np.pi / 3)
+    assert np.allclose(pauli_matrix(gf, 0, 1) @ pauli_matrix(gf, 1, 0), w * pauli_matrix(gf, 1, 1))
 
 
-def test_compose_identity():
-    gf = make_field(2, 2)
-    for a in gf.elements():
-        for b in gf.elements():
-            lab = PauliLabel(a, b, 1, 2)
-            out = pauli_compose(gf, lab, PauliLabel.identity())
-            assert out == lab
+def assert_weyl_product_rule(gf, labels):
+    """X_a Z_b . X_c Z_d = omega_p^Tr(b c) X_(a+c) Z_(b+d) for each (a, b, c, d)."""
+    omega = np.exp(2j * np.pi / gf.p)
+    mats = {(a, b): pauli_matrix(gf, a, b) for a in gf.elements() for b in gf.elements()}
+    for a, b, c, d in labels:
+        want = omega ** gf.trace(gf.mul(b, c)) * mats[gf.add(a, c), gf.add(b, d)]
+        assert np.abs(mats[a, b] @ mats[c, d] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
 def test_compose_matches_matrix_product_exhaustive(p, n):
     gf = make_field(p, n)
-    mats = {
-        (a, b): pauli_matrix(gf, PauliLabel(a, b))
-        for a in gf.elements()
-        for b in gf.elements()
-    }
-    for pa in gf.elements():
-        for pb in gf.elements():
-            for qa in gf.elements():
-                for qb in gf.elements():
-                    out = pauli_compose(gf, PauliLabel(pa, pb), PauliLabel(qa, qb))
-                    got = pauli_matrix(gf, out)
-                    want = mats[(pa, pb)] @ mats[(qa, qb)]
-                    assert np.abs(got - want).max() < 1e-12
+    els = list(gf.elements())
+    assert_weyl_product_rule(gf, ((a, b, c, d) for a in els for b in els for c in els for d in els))
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 4)])
 def test_compose_matches_matrix_product_sampled(p, n):
     gf = make_field(p, n)
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        pa, pb, qa, qb = rng.integers(0, gf.N, 4)
-        P, Q = PauliLabel(int(pa), int(pb)), PauliLabel(int(qa), int(qb))
-        got = pauli_matrix(gf, pauli_compose(gf, P, Q))
-        want = pauli_matrix(gf, P) @ pauli_matrix(gf, Q)
-        assert np.abs(got - want).max() < 1e-12
+    assert_weyl_product_rule(gf, (tuple(int(x) for x in rng.integers(0, gf.N, 4)) for _ in range(100)))
 
 
 def test_x_and_z_additivity():
     gf = make_field(3, 2)
     for a in gf.elements():
         for b in gf.elements():
-            x = pauli_compose(gf, PauliLabel(a, 0), PauliLabel(b, 0))
-            assert (x.a, x.b, x.phase_num) == (gf.add(a, b), 0, 0)
-            z = pauli_compose(gf, PauliLabel(0, a), PauliLabel(0, b))
-            assert (z.a, z.b, z.phase_num) == (0, gf.add(a, b), 0)
-            np.testing.assert_allclose(
-                pauli_matrix(gf, PauliLabel(gf.add(a, b), 0)),
-                pauli_matrix(gf, PauliLabel(a, 0)) @ pauli_matrix(gf, PauliLabel(b, 0)),
-                atol=1e-12,
-            )
+            s = gf.add(a, b)
+            for x, y, xy in (((a, 0), (b, 0), (s, 0)), ((0, a), (0, b), (0, s))):
+                np.testing.assert_allclose(
+                    pauli_matrix(gf, *x) @ pauli_matrix(gf, *y), pauli_matrix(gf, *xy), atol=1e-12
+                )
 
 
 @pytest.mark.parametrize("p,n", MATRIX_FIELDS)
@@ -102,7 +74,7 @@ def test_unitarity_and_trace(p, n):
     eye = np.eye(gf.N)
     for a in gf.elements():
         for b in gf.elements():
-            m = pauli_matrix(gf, PauliLabel(a, b))
+            m = pauli_matrix(gf, a, b)
             assert np.abs(m.conj().T @ m - eye).max() < 1e-12
             tr = np.trace(m)
             if (a, b) == (0, 0):
@@ -114,53 +86,6 @@ def test_unitarity_and_trace(p, n):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
 def test_pauli_basis_spans(p, n):
     gf = make_field(p, n)
-    vecs = np.array(
-        [
-            pauli_matrix(gf, PauliLabel(a, b)).ravel()
-            for a in gf.elements()
-            for b in gf.elements()
-        ]
-    )
+    vecs = np.array([pauli_matrix(gf, a, b).ravel() for a in gf.elements() for b in gf.elements()])
     gram = vecs @ vecs.conj().T
     assert np.abs(gram - gf.N * np.eye(gf.N**2)).max() < 1e-12
-
-
-def test_bell_state_uniform():
-    gf = make_field(3, 1)
-    v = bell_state(gf, 0, 0)
-    want = np.zeros(9)
-    want[[0, 4, 8]] = 1 / np.sqrt(3)
-    assert np.allclose(v, want)
-
-
-def test_bell_state_qubit_triplet():
-    gf = make_field(2, 1)
-    v = bell_state(gf, 1, 0)
-    assert np.allclose(v, np.array([0, 1, 1, 0]) / np.sqrt(2))
-
-
-def test_bell_states_orthonormal():
-    gf = make_field(3, 1)
-    vecs = [bell_state(gf, a, b) for a in gf.elements() for b in gf.elements()]
-    gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-    assert np.abs(gram - np.eye(9)).max() < 1e-12
-
-
-def test_projector_qubit():
-    gf = make_field(2, 1)
-    assert np.allclose(projector_standard_diff(gf, 0), np.diag([1, 0, 0, 1]))
-
-
-def test_projectors_complete():
-    gf = make_field(3, 1)
-    total = sum(projector_standard_diff(gf, a) for a in gf.elements())
-    assert np.allclose(total, np.eye(9))
-
-
-def test_projector_equals_bell_sum():
-    gf = make_field(2, 2)
-    for a in gf.elements():
-        from_bell = sum(
-            np.outer(bell_state(gf, a, i), bell_state(gf, a, i).conj()) for i in gf.elements()
-        )
-        assert np.abs(projector_standard_diff(gf, a) - from_bell).max() < 1e-12

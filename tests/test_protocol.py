@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import PRIME_POWERS, cached_params, cached_partition
-from quditqkd import _kernels, protocol
+from quditqkd import _kernels, cli, protocol
 from quditqkd.exceptions import ConfigError
 from quditqkd.fields import make_field
 from quditqkd.protocol import (
@@ -748,18 +748,24 @@ def test_bounds_built_once_per_round_count(monkeypatch):
     assert 0 < len(reads) <= cfg.ep_rounds_max + 2
 
 
-def test_field_setup_runs_once_per_field(monkeypatch):
-    # M's parameters and the label classes are found once per field, not per trial
-    found = []
+def test_field_setup_runs_once_per_field(monkeypatch, capsys):
+    # M's parameters and the label classes are found once per field, not per
+    # trial, and the CLI's pauli-iid channel takes its classes from the same cache
+    found, found_by_cli = [], []
     monkeypatch.setattr(protocol, "find_char_poly",
                         lambda gf, _fn=protocol.find_char_poly: found.append(gf) or _fn(gf))
-    protocol._field_setup.cache_clear()
+    monkeypatch.setattr(cli, "find_char_poly",
+                        lambda gf, _fn=cli.find_char_poly: found_by_cli.append(gf) or _fn(gf))
+    protocol.field_setup.cache_clear()
     for p, n in ((2, 1), (2, 2)):
         cfg = make_config(p, n, L=30_000)
         reps = run_trials(cfg, ChannelModel.noiseless(), 5, workers=1)
         assert all(not r.aborted for r in reps)
-    assert found == [make_field(2, 1), make_field(2, 2)]
-    params, partition = protocol._field_setup(make_field(2, 2))
+    assert cli.main(["simulate", "--p", "2", "--n", "2", "--L", "30000", "--channel", "pauli-iid",
+                     "--qer", "0.1", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["keys_match"] is True
+    assert found == [make_field(2, 1), make_field(2, 2)] and found_by_cli == []
+    params, partition = protocol.field_setup(make_field(2, 2))
     assert partition == tuple(cached_partition(2, 2)) and params == cached_params(2, 2)[1]
 
 

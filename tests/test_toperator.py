@@ -7,7 +7,6 @@ from conftest import PRIME_POWERS, cached_params, cached_partition, cached_top
 from quditqkd import cli, toperator
 from quditqkd.exceptions import InvariantViolation
 from quditqkd.fields import _prime_divisors, make_field
-from quditqkd.pauli import PauliLabel, pauli_matrix, phase_value
 from quditqkd.toperator import (
     SymplecticParams,
     _assemble,
@@ -18,12 +17,12 @@ from quditqkd.toperator import (
     _walk_powers,
     build_T,
     choose_M,
-    conjugate_label,
     conjugation_tables,
     equiv_classes,
     find_char_poly,
     verify_T,
 )
+from weyl_oracle import pauli_matrix, phase_value
 
 TOL = 1e-10
 
@@ -227,7 +226,7 @@ def reference_t3():
     out = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
-            out += w ** (2 * (i == 0) + (j == 0)) * pauli_matrix(gf, PauliLabel(i, j))
+            out += w ** (2 * (i == 0) + (j == 0)) * pauli_matrix(gf, i, j)
     return out / 3
 
 
@@ -240,7 +239,7 @@ def reference_t4():
             s = gf.add(i, j)
             half = gf.trace(gf.mul(omega, s))
             coef = (-1j) ** half * (-1.0) ** (gf.trace(s) + (1 if s == 1 else 0))
-            out += coef * pauli_matrix(gf, PauliLabel(i, j))
+            out += coef * pauli_matrix(gf, i, j)
     return out / 4
 
 
@@ -304,39 +303,34 @@ def test_standard_basis_returns_at_half_period():
 # ---------------------------------------------------------------
 
 def test_conjugate_label_identity_power():
+    # row 0 of the tables is the identity; one more step of M after row N gives it back
     gf, params = cached_params(2, 2)
-    for a in gf.elements():
-        for b in gf.elements():
-            assert conjugate_label(gf, params, (a, b), 0) == (a, b)
-            assert conjugate_label(gf, params, (a, b), gf.N + 1) == (a, b)
+    ca, cb = conjugation_tables(gf, params)
+    A, B = np.ogrid[:gf.N, :gf.N]
+    assert (ca[0] == A).all() and (cb[0] == B).all()
+    assert (ca[1][ca[gf.N], cb[gf.N]] == A).all() and (cb[1][ca[gf.N], cb[gf.N]] == B).all()
 
 
 def test_conjugate_label_qubit():
-    gf, params = cached_params(2, 1)
-    assert conjugate_label(gf, params, (1, 0), 1) == (0, 1)
+    ca, cb = conjugation_tables(*cached_params(2, 1))
+    assert (ca[1, 1, 0], cb[1, 1, 0]) == (0, 1)
 
 
 def test_conjugate_label_qutrit_half_period_negates():
     gf, params = cached_params(3, 1)
+    ca, cb = conjugation_tables(gf, params)
     for a in gf.elements():
         for b in gf.elements():
-            assert conjugate_label(gf, params, (a, b), 2) == (gf.neg(a), gf.neg(b))
-
-
-@pytest.mark.parametrize("label", [(4, 0), (-1, 0)])
-def test_conjugate_label_rejects_non_elements(label):
-    # a negative index would wrap round the table without an error
-    gf, params = cached_params(2, 2)
-    with pytest.raises(ValueError, match="not an element"):
-        conjugate_label(gf, params, label, 1)
+            assert (ca[2, a, b], cb[2, a, b]) == (gf.neg(a), gf.neg(b))
 
 
 def test_conjugate_label_negative_power_inverts():
+    # row N+1-k undoes row k
     gf, params = cached_params(2, 3)
-    for a in gf.elements():
-        for b in gf.elements():
-            fwd = conjugate_label(gf, params, (a, b), 3)
-            assert conjugate_label(gf, params, fwd, -3) == (a, b)
+    ca, cb = conjugation_tables(gf, params)
+    back = gf.N + 1 - 3
+    A, B = np.ogrid[:gf.N, :gf.N]
+    assert (ca[back][ca[3], cb[3]] == A).all() and (cb[back][ca[3], cb[3]] == B).all()
 
 
 def test_equiv_classes_qubit():
