@@ -330,31 +330,31 @@ def _cmd_classes(args, seed):
 
 
 def _make_channel(args, gf) -> ChannelModel:
+    """The raw-label law a channel name stands for: pauli-iid's is the
+    worst-case law of its QER; every other name's is the measurement twirl
+    at some q, the grouped attack's that of intercept-resend, since it
+    measures the whole qubit group.  ChannelModel.validate checks q's range
+    in run_protocol, after the run's config."""
     kind = args.channel
     if kind == "noiseless":
-        return ChannelModel.noiseless()
+        return ChannelModel()
     if kind == "pauli-iid":
         if args.qer is None:
             raise ConfigError("pauli-iid channel needs --qer")
         if not 0.0 <= args.qer <= 1.0:
             raise ConfigError("--qer must lie in [0, 1]")
         dist = worst_case_distribution(gf, field_setup(gf)[1], 1.0 - args.qer)
-        return ChannelModel.pauli_iid(dist)
-    if kind == "intercept-resend":
-        if args.q is None:
-            raise ConfigError("intercept-resend channel needs --q")
-        return ChannelModel.intercept_resend(args.q)
-    if kind == "grouped-attack":
-        if args.q is None:
-            raise ConfigError("grouped-attack channel needs --q")
-        if gf.p != 2:
-            raise ConfigError("grouped attack requires characteristic 2")
-        return ChannelModel.grouped_qubit_attack(args.q)
-    if args.q_prime is None:
-        raise ConfigError("per-qubit-attack channel needs --q-prime")
-    if gf.p != 2:
-        raise ConfigError("per-qubit attack requires characteristic 2")
-    return ChannelModel.per_qubit_attack(args.q_prime)
+        return ChannelModel(label_rates=dist.rates)
+    flag, q = ("--q-prime", args.q_prime) if kind == "per-qubit-attack" else ("--q", args.q)
+    if q is None:
+        raise ConfigError(f"{kind} channel needs {flag}")
+    if kind != "intercept-resend" and gf.p != 2:
+        raise ConfigError(kind.replace("-attack", " attack") + " requires characteristic 2")
+    if kind == "per-qubit-attack" and 0.0 <= q <= 1.0:  # the rule could map a bad q' into range
+        # Each qubit is measured with probability q'.  As in the paper's attack
+        # analysis, a group with a measured qubit is accounted as fully measured.
+        q = 1.0 - (1.0 - q) ** gf.n
+    return ChannelModel(q=q)
 
 
 # the simulate report's config, null where unset (--workers cannot change results)

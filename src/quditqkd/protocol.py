@@ -4,11 +4,13 @@ Every transmitted particle is tracked classically through a hidden
 Pauli frame: the channel assigns a raw label (a, b), sifting conjugates
 it by the power of the basis-cycling unitary both parties applied, and
 the purification / majority-vote stages transform it by the exact error
-propagation rules.  This ledger is exact for Pauli channels and for
-measure-and-resend attacks, which enter as a uniform phase twirl in the
-channel frame (raw label (0, c) with c uniform; the sift conjugation
-then reproduces the mutually-unbiased outcome statistics, including the
-no-disturbance case when the applied power fixes the standard basis).
+propagation rules.  A channel (ChannelModel) is one of two raw-label
+laws: an explicit (N, N) law, exact for Pauli channels, or the
+measurement twirl with probability q, exact for measure-and-resend: raw
+label (0, c) with c uniform, whose sift conjugation reproduces the
+mutually-unbiased outcome statistics, including the no-disturbance case
+when the applied power fixes the standard basis.  The noiseless channel
+is the twirl at q = 0.  The CLI's five channel names map onto these two.
 
 Only sifted particles are materialized: the sifted count is drawn as a
 Binomial(L, 1/(N+1)) and set indices uniformly, which has exactly the
@@ -19,14 +21,13 @@ Generator.integers(..., dtype=np.uint8), vectorised over the 32-bit
 halves of the bit generator's raw 64-bit outputs (_raw_u32).  It gives
 the same variates and leaves the generator in the same state, so reports
 for a fixed seed are byte-identical to drawing them with
-Generator.integers.  The twirl channels' measured mask compares each
-block's doubles, drawn into one reused buffer, with q in place in the
-label array.  Likewise pauli-iid raw labels come from
-_categorical: Generator.choice's inverse-CDF map, applied to the same
-doubles, with a bucket table answering most of them without choice's
-binary search; the labels and the generator state afterwards are
-choice's, so reports stay byte-identical to drawing them with
-Generator.choice.
+Generator.integers.  The twirl's measured mask compares each block's
+doubles, drawn into one reused buffer, with q in place in the label
+array.  Likewise an explicit law's raw labels come from _categorical:
+Generator.choice's inverse-CDF map, applied to the same doubles, with a
+bucket table answering most of them without choice's binary search; the
+labels and the generator state afterwards are choice's, so reports stay
+byte-identical to drawing them with Generator.choice.
 
 run_protocol calls the stages in order, on plain arrays; the first three
 walk the pool a block of registers at a time.  sample_raw_labels draws the
@@ -71,76 +72,28 @@ from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_cla
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A raw-label error process applied i.i.d. per transmitted particle;
-    unshuffled pairing relies on that (module docstring).
+    """A raw-label law applied i.i.d. per transmitted particle; unshuffled
+    pairing relies on that (module docstring).
 
-    kinds:
-      noiseless             no errors
-      pauli-iid             iid labels from an explicit distribution
-      intercept-resend      full measure-and-resend with probability q
-      grouped-qubit-attack  (N = 2^n) the whole n-qubit group measured
-                            with probability q; identical ledger effect
-                            to intercept-resend
-      per-qubit-attack      (N = 2^n) each qubit measured independently
-                            with probability q'; a particle with at
-                            least one measured qubit is accounted as a
-                            fully measured group (probability
-                            1 - (1-q')^n), matching the attack analysis
+    label_rates, when set, is an explicit (N, N) law over the raw labels
+    (a, b).  Otherwise each particle suffers the measurement twirl, raw
+    label (0, c) with c uniform, with probability q, and q alone is read.
+    ChannelModel() is the noiseless channel.
     """
 
-    kind: str
-    label_rates: Optional[np.ndarray] = None
     q: float = 0.0
-    q_prime: float = 0.0
-
-    @staticmethod
-    def noiseless() -> "ChannelModel":
-        return ChannelModel("noiseless")
-
-    @staticmethod
-    def pauli_iid(dist: ErrorDistribution) -> "ChannelModel":
-        return ChannelModel("pauli-iid", label_rates=dist.rates.copy())
-
-    @staticmethod
-    def intercept_resend(q: float) -> "ChannelModel":
-        return ChannelModel("intercept-resend", q=q)
-
-    @staticmethod
-    def grouped_qubit_attack(q: float) -> "ChannelModel":
-        return ChannelModel("grouped-qubit-attack", q=q)
-
-    @staticmethod
-    def per_qubit_attack(q_prime: float) -> "ChannelModel":
-        return ChannelModel("per-qubit-attack", q_prime=q_prime)
+    label_rates: Optional[np.ndarray] = None
 
     def validate(self, gf: GF) -> None:
-        if self.kind not in (
-            "noiseless",
-            "pauli-iid",
-            "intercept-resend",
-            "grouped-qubit-attack",
-            "per-qubit-attack",
-        ):
-            raise ConfigError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.q <= 1.0 or not 0.0 <= self.q_prime <= 1.0:
+        if not 0.0 <= self.q <= 1.0:
             raise ConfigError("attack probabilities must lie in [0, 1]")
-        if self.kind == "pauli-iid":
-            if self.label_rates is None or self.label_rates.shape != (gf.N, gf.N):
+        if self.label_rates is not None:
+            if self.label_rates.shape != (gf.N, gf.N):
                 raise ConfigError("pauli-iid channel needs an (N, N) label distribution")
             if not (self.label_rates >= 0).all():  # NaN fails too
                 raise ConfigError("pauli-iid label rates must be nonnegative")
             if abs(float(self.label_rates.sum()) - 1.0) > 1e-9:
                 raise ConfigError("pauli-iid label distribution must sum to 1")
-        if self.kind in ("grouped-qubit-attack", "per-qubit-attack") and gf.p != 2:
-            raise ConfigError("qubit-group attacks require characteristic 2")
-
-    def measure_probability(self, gf: GF) -> float:
-        """Probability that a particle suffers the measurement twirl."""
-        if self.kind == "intercept-resend" or self.kind == "grouped-qubit-attack":
-            return self.q
-        if self.kind == "per-qubit-attack":
-            return 1.0 - (1.0 - self.q_prime) ** gf.n
-        return 0.0
 
 
 def _raw_u32(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -249,20 +202,17 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     caller validates the channel."""
     N = gf.N
     dtype = np.min_scalar_type(N * N - 1)
-    if channel.kind == "noiseless":
-        return np.zeros(count, dtype=dtype)
-    if channel.kind == "pauli-iid":
+    if channel.label_rates is not None:
         p = channel.label_rates.ravel() / channel.label_rates.ravel().sum()
         return _categorical(rng, p, np.empty(count, dtype))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
-    q = channel.measure_probability(gf)
     out = np.empty(count, dtype)
     # each block's doubles, as rng.random(count) draws them
     u = np.empty(min(_kernels.BLOCK, count))
     for start in range(0, count, _kernels.BLOCK):
         blk = out[start : start + _kernels.BLOCK]
         ub = rng.random(out=u[: blk.size])
-        np.less(ub, q, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
+        np.less(ub, channel.q, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
     out *= _uint8_below(rng, N, count)
     return out
 

@@ -174,7 +174,7 @@ def test_acceptance_6_monte_carlo_vs_analytics(p, n, e00):
     part = cached_partition(p, n)
     N = gf.N
     d = worst_case_distribution(gf, part, e00)
-    channel = ChannelModel.pauli_iid(d)
+    channel = ChannelModel(label_rates=d.rates)
     base = ProtocolConfig(
         gf=gf, L=1_000_000, rng_seed=303, test_fraction=0.01, ep_rounds=1, pec_r=9
     )
@@ -236,7 +236,7 @@ def test_acceptance_7_attack_reproduction():
     gf16, gf2 = make_field(2, 4), make_field(2, 1)
     L16, L2 = 150_000_000, 20_000_000
     delta = 0.0065
-    grouped = ChannelModel.grouped_qubit_attack(q)
+    grouped = ChannelModel(q=q)
     joint = 0
     for seed in range(20):
         r16 = run_protocol(
@@ -252,18 +252,20 @@ def test_acceptance_7_attack_reproduction():
         joint += (not r16.aborted and r16.keys_match) and r2.aborted
     assert joint >= 18
 
-    per_qubit = ChannelModel.per_qubit_attack(rep.per_qubit_q)
+    def per_qubit(gf):  # a group with a measured qubit is accounted as fully measured
+        return ChannelModel(q=1.0 - (1.0 - rep.per_qubit_q) ** gf.n)
+
     for seed in (0, 1, 2):
         r = run_protocol(
             ProtocolConfig(gf=gf16, L=L16, rng_seed=seed, test_count=int(0.01 * L16 / 289),
                            delta=delta, ep_rounds=4, pec_r=25),
-            per_qubit,
+            per_qubit(gf16),
         )
         assert r.aborted
     rber = run_protocol(
         ProtocolConfig(gf=gf2, L=4_000_000, rng_seed=0, test_count=4000,
                        delta=delta, ep_rounds=2, pec_r=9),
-        per_qubit,
+        per_qubit(gf2),
     )
     assert abs(rber.empirical_ber - 0.1272) < 0.005
     elapsed = time.time() - t0

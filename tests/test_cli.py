@@ -194,6 +194,13 @@ PINNED_REPORTS = {
     "N = 16 pauli-iid": (
         "--p 2 --n 4 --L 3000000 --channel pauli-iid --qer 0.1 --seed 3",
         "abd9296678f97cb0e64d687dce8e4a1c", (53, 3, True)),
+    # recorded while each channel name was a ChannelModel kind of its own
+    "grouped attack": (
+        "--p 2 --n 3 --L 2000000 --channel grouped-attack --q 0.3 --seed 6",
+        "ec66942880eb529620cf3e50ff63da1b", (185, 3, True)),
+    "noiseless": (
+        "--p 2 --n 3 --L 500000 --channel noiseless --seed 2",
+        "134ffd1470fcd33f38c4755bdca0648c", (35, 2, True)),
 }
 
 
@@ -204,6 +211,21 @@ def test_whole_report_is_pinned(capsys, path):
     res = json.loads(capsys.readouterr().out)["result"]
     assert (res["pec_r"], res["ep_rounds"], res["analytic_target_met"]) == headline
     assert hashlib.md5(json.dumps(res, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, n, seed", [(2, 1, 3), (2, 2, 5), (2, 4, 7)])
+def test_twirl_channel_names_give_one_result(capsys, p, n, seed):
+    # the grouped, per-qubit and noiseless channels are the measurement twirl
+    # at some q; only the report's config block says which name was given
+    def result(*channel):
+        argv = ["simulate", "--p", str(p), "--n", str(n), "--L", "300000", "--seed", str(seed)]
+        assert cli.main([*argv, "--channel", *channel]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    assert result("grouped-attack", "--q", "0.3") == result("intercept-resend", "--q", "0.3")
+    q = repr(1 - (1 - 0.1) ** n)  # a group with a measured qubit is accounted as fully measured
+    assert result("per-qubit-attack", "--q-prime", "0.1") == result("intercept-resend", "--q", q)
+    assert result("noiseless") == result("intercept-resend", "--q", "0")
 
 
 # md5 of the classes stdout, recorded while the orbits were walked label by
@@ -359,6 +381,13 @@ def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
     ["attack", "--p", "2", "--n", "-1", "--q", "0.5"],
     ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "pauli-iid",
      "--qer", "nan", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "2", "--L", "1000", "--channel", "grouped-attack",
+     "--q", "1.5", "--seed", "1"],
+    ["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "intercept-resend",
+     "--q", "nan", "--seed", "1"],
+    # q' is checked before the per-qubit rule 1 - (1 - q')^n, which maps 1.5 to 0.75 at n = 2
+    ["simulate", "--p", "2", "--n", "2", "--L", "1000", "--channel", "per-qubit-attack",
+     "--q-prime", "1.5", "--seed", "1"],
 ])
 def test_bad_arguments_are_config_errors(capsys, argv):
     assert cli.main(argv) == 3
@@ -367,6 +396,27 @@ def test_bad_arguments_are_config_errors(capsys, argv):
     if "--qer" in argv:
         # the message names the flag the user passed, not the e00 it sets
         assert err == "config error: --qer must lie in [0, 1]\n"
+    if "simulate" in argv and ("--q" in argv or "--q-prime" in argv):
+        assert err == "config error: attack probabilities must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "3", "--channel", "grouped-attack", "--q", "0.5"],
+     "grouped attack requires characteristic 2"),
+    (["--p", "3", "--channel", "per-qubit-attack", "--q-prime", "0.1"],
+     "per-qubit attack requires characteristic 2"),
+    (["--p", "2", "--channel", "intercept-resend"], "intercept-resend channel needs --q"),
+    (["--p", "2", "--channel", "grouped-attack"], "grouped-attack channel needs --q"),
+    (["--p", "2", "--channel", "per-qubit-attack"], "per-qubit-attack channel needs --q-prime"),
+    # the run's config is checked before the attack probability, for q' as for q
+    (["--p", "2", "--channel", "per-qubit-attack", "--q-prime", "1.5", "--L", "0"],
+     "L must lie in [1, 2^63), got 0"),
+    (["--p", "2", "--channel", "grouped-attack", "--q", "1.5", "--L", "0"],
+     "L must lie in [1, 2^63), got 0"),
+])
+def test_attack_channel_arguments_are_checked(capsys, flags, message):
+    assert cli.main(["simulate", "--n", "1", "--L", "1000", "--seed", "1", *flags]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_simulate_requires_seed():

@@ -40,7 +40,7 @@ def make_config(p, n, **kw):
 def test_noiseless_channel_labels():
     gf, _ = cached_params(2, 2)
     rng = np.random.default_rng(0)
-    lab = sample_raw_labels(ChannelModel.noiseless(), gf, 1000, rng)
+    lab = sample_raw_labels(ChannelModel(), gf, 1000, rng)
     a, b = lab // gf.N, lab % gf.N
     assert not a.any() and not b.any()
 
@@ -48,17 +48,23 @@ def test_noiseless_channel_labels():
 def test_measure_twirl_is_phase_only_in_channel_frame():
     gf, _ = cached_params(2, 2)
     rng = np.random.default_rng(0)
-    lab = sample_raw_labels(ChannelModel.intercept_resend(1.0), gf, 5000, rng)
+    lab = sample_raw_labels(ChannelModel(q=1.0), gf, 5000, rng)
     a, b = lab // gf.N, lab % gf.N
     assert not a.any()
     counts = np.bincount(b, minlength=4) / 5000
     assert np.abs(counts - 0.25).max() < 0.03
 
 
+def worst_case_channel(gf, e00):
+    """The pauli-iid channel: the worst-case label law at e00."""
+    law = worst_case_distribution(gf, cached_partition(gf.p, gf.n), e00)
+    return ChannelModel(label_rates=law.rates)
+
+
 def random_label_channel(N):
     """A pauli-iid channel that gives every raw label some mass."""
     rates = np.random.default_rng(N).dirichlet(np.ones(N * N)).reshape(N, N)
-    return ChannelModel("pauli-iid", label_rates=rates)
+    return ChannelModel(label_rates=rates)
 
 
 # N = 17 and N = 32 need a uint16 flat label
@@ -94,8 +100,7 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
 def test_bob_value_enters_round_one_as_s_plus_a(monkeypatch, p, n, noiseless):
     # Bob's value is set after testing: every untested register carries s + a
     gf, _ = cached_params(p, n)
-    ch = (ChannelModel.noiseless() if noiseless else
-          ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), 0.8)))
+    ch = ChannelModel() if noiseless else worst_case_channel(gf, 0.8)
     entered, ep_round = [], protocol.locc2_ep_round  # copies of each round's input pool
     monkeypatch.setattr(protocol, "locc2_ep_round", lambda gf_, *pool: (
         entered.append([v.copy() for v in pool]) or ep_round(gf_, *pool)))
@@ -110,12 +115,6 @@ def test_bob_value_enters_round_one_as_s_plus_a(monkeypatch, p, n, noiseless):
         assert not a.any() and (bob == s).all()
 
 
-def test_grouped_attack_requires_p2():
-    gf, _ = cached_params(3, 1)
-    with pytest.raises(ConfigError):
-        ChannelModel.grouped_qubit_attack(0.5).validate(gf)
-
-
 @pytest.mark.parametrize("bad", [-0.1, np.nan])
 def test_pauli_iid_rejects_negative_or_nan_rates(bad):
     # the label sampler trusts the law: a negative or NaN rate would draw garbage
@@ -123,13 +122,7 @@ def test_pauli_iid_rejects_negative_or_nan_rates(bad):
     rates = np.array([[0.6, 0.3], [0.2, 0.0]])
     rates[1, 1] = bad
     with pytest.raises(ConfigError):
-        ChannelModel("pauli-iid", label_rates=rates).validate(gf)
-
-
-def test_per_qubit_measure_probability():
-    gf, _ = cached_params(2, 4)
-    ch = ChannelModel.per_qubit_attack(0.3817)
-    assert abs(ch.measure_probability(gf) - (1 - (1 - 0.3817) ** 4)) < 1e-15
+        ChannelModel(label_rates=rates).validate(gf)
 
 
 # ---------------------------------------------------------------
@@ -206,24 +199,17 @@ def test_uint8_below_from_a_buffered_half(count):
 # twirl labels
 # ---------------------------------------------------------------
 
-def _twirl_channels(q):
-    # per-qubit-attack is measured with probability 1 - (1 - q)^n
-    return (ChannelModel.grouped_qubit_attack(q), ChannelModel.intercept_resend(q),
-            ChannelModel.per_qubit_attack(q))
-
-
 def _check_twirl(N, count):
     gf = make_field(2, N.bit_length() - 1)
     dtype = np.min_scalar_type(N * N - 1)  # uint16 at N = 32
     for q in (0.0, 0.84, 1.0):
-        for ch in _twirl_channels(q):
-            mine, ref = np.random.default_rng((N, count)), np.random.default_rng((N, count))
-            got = sample_raw_labels(ch, gf, count, mine)
-            mask = ref.random(count) < ch.measure_probability(gf)
-            want = (mask * ref.integers(0, N, count, dtype=np.uint8)).astype(dtype)
-            assert got.dtype == dtype and np.array_equal(got, want), (ch.kind, q)
-            assert mine.bit_generator.state == ref.bit_generator.state, (ch.kind, q)
-            assert mine.random() == ref.random()
+        mine, ref = np.random.default_rng((N, count)), np.random.default_rng((N, count))
+        got = sample_raw_labels(ChannelModel(q=q), gf, count, mine)
+        mask = ref.random(count) < q
+        want = (mask * ref.integers(0, N, count, dtype=np.uint8)).astype(dtype)
+        assert got.dtype == dtype and np.array_equal(got, want), q
+        assert mine.bit_generator.state == ref.bit_generator.state, q
+        assert mine.random() == ref.random()
 
 
 @pytest.mark.parametrize("N", [2, 16, 32])
@@ -336,7 +322,7 @@ def test_sift_all_matching_powers():
 def test_sift_retention_statistics():
     # each of the N + 1 sets keeps a 1/(N+1)^2 share of the transmissions
     L = 100_000
-    rep = run_protocol(make_config(2, 1, L=L, rng_seed=77), ChannelModel.noiseless())
+    rep = run_protocol(make_config(2, 1, L=L, rng_seed=77), ChannelModel())
     for count in rep.set_sizes:
         sigma = np.sqrt(L * (1 / 9) * (8 / 9))
         assert abs(count - L / 9) < 3 * sigma
@@ -400,12 +386,12 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
 
 def test_undersized_set_aborts_the_run():
     rep = run_protocol(make_config(2, 1, L=5, rng_seed=1, test_fraction=None, test_count=1),
-                       ChannelModel.noiseless())
+                       ChannelModel())
     assert rep.aborted
     assert rep.abort_reason == "set 0 holds 0 particles, cannot test 1"
     assert rep.e_hats == [] and rep.key_length == 0
     rep = run_protocol(make_config(2, 1, L=3_000, test_fraction=None, test_count=2_000),
-                       ChannelModel.noiseless())
+                       ChannelModel())
     assert rep.aborted and rep.abort_reason.startswith("set 0 holds ")
     assert rep.abort_reason.endswith(" particles, cannot test 2000")
 
@@ -413,7 +399,7 @@ def test_undersized_set_aborts_the_run():
 def test_exhausted_pool_reports_the_rounds_run():
     cfg = make_config(2, 2, L=60, rng_seed=0, test_fraction=None, test_count=1,
                       abort_threshold=0.9, ep_rounds=4)
-    rep = run_protocol(cfg, ChannelModel.intercept_resend(0.5))
+    rep = run_protocol(cfg, ChannelModel(q=0.5))
     assert rep.aborted and rep.abort_reason == "register pool exhausted during purification"
     assert rep.survivors_per_round == [3, 1]
     assert rep.ep_rounds == 2
@@ -451,9 +437,9 @@ def test_pre_purification_fields_are_pinned(kw, channel, want):
     gf, _ = cached_params(p, n)
     kind, value = channel
     if kind == "pauli-iid":
-        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), value))
+        ch = worst_case_channel(gf, value)
     else:
-        ch = ChannelModel.grouped_qubit_attack(value)
+        ch = ChannelModel(q=value)
     got = run_protocol(make_config(p, n, **kw), ch).to_dict()
     assert not got["aborted"]
     assert json.dumps({k: got[k] for k in want}) == json.dumps(want)
@@ -558,7 +544,7 @@ def test_pec_majority_validates_r():
 # ---------------------------------------------------------------
 
 def test_noiseless_run_completes():
-    rep = run_protocol(make_config(2, 1, L=100_000), ChannelModel.noiseless())
+    rep = run_protocol(make_config(2, 1, L=100_000), ChannelModel())
     assert not rep.aborted
     assert rep.keys_match and rep.key_length > 0
     assert rep.qer_estimate == 0.0
@@ -567,7 +553,7 @@ def test_noiseless_run_completes():
 
 def test_noiseless_run_qutrit():
     rep = run_protocol(
-        make_config(3, 1, L=10_000, abort_threshold=0.5), ChannelModel.noiseless()
+        make_config(3, 1, L=10_000, abort_threshold=0.5), ChannelModel()
     )
     assert not rep.aborted and rep.keys_match and rep.key_length > 0
 
@@ -575,7 +561,7 @@ def test_noiseless_run_qutrit():
 def test_determinism_bit_identical():
     cfg = make_config(2, 2, L=50_000, ep_rounds=1, pec_r=5)
     gf, _ = cached_params(2, 2)
-    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.8))
+    ch = worst_case_channel(gf, 0.8)
     r1 = run_protocol(cfg, ch)
     r2 = run_protocol(cfg, ch)
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
@@ -584,20 +570,20 @@ def test_determinism_bit_identical():
 def test_different_seeds_differ():
     c1 = make_config(2, 1, L=50_000, rng_seed=1)
     c2 = make_config(2, 1, L=50_000, rng_seed=2)
-    r1, r2 = run_protocol(c1, ChannelModel.noiseless()), run_protocol(c2, ChannelModel.noiseless())
+    r1, r2 = run_protocol(c1, ChannelModel()), run_protocol(c2, ChannelModel())
     assert r1.n_sifted != r2.n_sifted or r1.set_sizes != r2.set_sizes
 
 
 def test_high_qer_aborts():
     gf, _ = cached_params(2, 1)
-    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 1), 0.5))
+    ch = worst_case_channel(gf, 0.5)
     rep = run_protocol(make_config(2, 1, L=200_000), ch)
     assert rep.aborted and "threshold" in rep.abort_reason
 
 
 def test_below_threshold_proceeds():
     gf, _ = cached_params(2, 1)
-    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 1), 0.75))
+    ch = worst_case_channel(gf, 0.75)
     rep = run_protocol(make_config(2, 1, L=200_000, ep_rounds=2, pec_r=9), ch)
     assert not rep.aborted
     assert rep.key_length > 0
@@ -606,7 +592,8 @@ def test_below_threshold_proceeds():
 def test_ep_survival_statistics():
     gf, _ = cached_params(2, 2)
     d = worst_case_distribution(gf, cached_partition(2, 2), 0.6)
-    rep = run_protocol(make_config(2, 2, L=500_000, ep_rounds=1, pec_r=5), ChannelModel.pauli_iid(d))
+    rep = run_protocol(make_config(2, 2, L=500_000, ep_rounds=1, pec_r=5),
+                       ChannelModel(label_rates=d.rates))
     pool = rep.n_sifted - sum(max(1, int(c * 0.01)) for c in rep.set_sizes)
     p_agree = float((d.rates.sum(axis=1) ** 2).sum())
     expect = (pool // 2) * p_agree
@@ -617,7 +604,8 @@ def test_ep_survival_statistics():
 def test_post_ep_distribution_matches_recursion():
     gf, _ = cached_params(2, 1)
     d = worst_case_distribution(gf, cached_partition(2, 1), 0.7)
-    rep = run_protocol(make_config(2, 1, L=1_000_000, ep_rounds=1, pec_r=9), ChannelModel.pauli_iid(d))
+    rep = run_protocol(make_config(2, 1, L=1_000_000, ep_rounds=1, pec_r=9),
+                       ChannelModel(label_rates=d.rates))
     want = ep_step(d).rates.ravel()
     emp = np.array(rep.post_ep_label_dist)
     n = rep.survivors_per_round[-1]
@@ -633,7 +621,7 @@ def test_adjacent_pairing_matches_recursion_across_seeds():
     gf, _ = cached_params(2, 2)
     d = worst_case_distribution(gf, cached_partition(2, 2), 0.75)
     cfg = make_config(2, 2, L=20_000, rng_seed=2024, ep_rounds=1, pec_r=1)
-    reps = run_trials(cfg, ChannelModel.pauli_iid(d), 200)
+    reps = run_trials(cfg, ChannelModel(label_rates=d.rates), 200)
     p_agree = float((d.rates.sum(axis=1) ** 2).sum())
     surv_stat, labels = 0.0, np.zeros(16)
     for rep in reps:
@@ -660,7 +648,7 @@ def n16_grouped_attack_config(L=15_000_000):
 
 def test_multi_block_report_is_pinned():
     # the pinned CLI reports fit in one or two blocks at N <= 8
-    rep = run_protocol(n16_grouped_attack_config(), ChannelModel.grouped_qubit_attack(0.84))
+    rep = run_protocol(n16_grouped_attack_config(), ChannelModel(q=0.84))
     assert rep.n_sifted > 3 * _kernels.BLOCK
     assert rep.survivors_per_round == [45208, 9675, 4623, 2310] and rep.key_length == 92
     digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -673,7 +661,7 @@ def test_peak_memory_per_sifted_register():
     cfg = n16_grouped_attack_config()
     tracemalloc.start()
     try:
-        rep = run_protocol(cfg, ChannelModel.grouped_qubit_attack(0.84))
+        rep = run_protocol(cfg, ChannelModel(q=0.84))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -687,7 +675,7 @@ def _traced_peak(L):
     cfg = replace(n16_grouped_attack_config(L), abort_threshold=0.9)
     tracemalloc.start()
     try:
-        rep = run_protocol(cfg, ChannelModel.grouped_qubit_attack(0.84))
+        rep = run_protocol(cfg, ChannelModel(q=0.84))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -717,9 +705,9 @@ def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
     # blocked twirl draws and the blocked sift keep every field
     gf, _ = cached_params(p, n)
     if kind == "pauli-iid":
-        ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(p, n), 0.8))
+        ch = worst_case_channel(gf, 0.8)
     else:
-        ch = ChannelModel.grouped_qubit_attack(0.3)
+        ch = ChannelModel(q=0.3)
     cfg = make_config(p, n, L=50_000, ep_rounds=1, pec_r=5, abort_threshold=None if p == 2 else 0.5)
     want = run_protocol(cfg, ch).to_dict()
     monkeypatch.setattr(_kernels, "BLOCK", block)
@@ -738,7 +726,7 @@ def test_bounds_built_once_per_round_count(monkeypatch):
     monkeypatch.setattr(ErrorDistribution, "spin_error_rate",
                         lambda d: reads.append(d) or spin_error_rate(d))
     gf, _ = cached_params(2, 2)
-    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 2), 0.6))
+    ch = worst_case_channel(gf, 0.6)
     cfg = make_config(2, 2, L=1_000_000, rng_seed=5)
     rep = run_protocol(cfg, ch)
     # every round is tried and the fallback r is searched too
@@ -759,7 +747,7 @@ def test_field_setup_runs_once_per_field(monkeypatch, capsys):
     protocol.field_setup.cache_clear()
     for p, n in ((2, 1), (2, 2)):
         cfg = make_config(p, n, L=30_000)
-        reps = run_trials(cfg, ChannelModel.noiseless(), 5, workers=1)
+        reps = run_trials(cfg, ChannelModel(), 5, workers=1)
         assert all(not r.aborted for r in reps)
     assert cli.main(["simulate", "--p", "2", "--n", "2", "--L", "30000", "--channel", "pauli-iid",
                      "--qer", "0.1", "--seed", "1"]) == 0
@@ -773,7 +761,7 @@ def test_qer_030_completes_with_low_mismatch_rate():
     # QER 0.30 sits below the N=2 tolerance of ~0.4146: the protocol must
     # complete on every seed with a digit mismatch rate under eps_I / ell
     gf, _ = cached_params(2, 1)
-    ch = ChannelModel.pauli_iid(worst_case_distribution(gf, cached_partition(2, 1), 0.7))
+    ch = worst_case_channel(gf, 0.7)
     cfg = make_config(2, 1, L=1_000_000, ep_rounds=4, pec_r=25)
     for rep in run_trials(cfg, ch, 20):
         assert not rep.aborted
@@ -784,8 +772,8 @@ def test_qer_030_completes_with_low_mismatch_rate():
 
 def test_run_trials_deterministic_and_distinct():
     cfg = make_config(2, 1, L=30_000)
-    reps = run_trials(cfg, ChannelModel.noiseless(), 3)
-    again = run_trials(cfg, ChannelModel.noiseless(), 3)
+    reps = run_trials(cfg, ChannelModel(), 3)
+    again = run_trials(cfg, ChannelModel(), 3)
     for r1, r2 in zip(reps, again):
         assert r1.to_dict() == r2.to_dict()
     assert len({r.seed for r in reps}) == 3
@@ -793,8 +781,8 @@ def test_run_trials_deterministic_and_distinct():
 
 def test_run_trials_parallel_matches_serial():
     cfg = make_config(2, 1, L=30_000)
-    serial = run_trials(cfg, ChannelModel.noiseless(), 4, workers=1)
-    parallel = run_trials(cfg, ChannelModel.noiseless(), 4, workers=4)
+    serial = run_trials(cfg, ChannelModel(), 4, workers=1)
+    parallel = run_trials(cfg, ChannelModel(), 4, workers=4)
     for r1, r2 in zip(serial, parallel):
         assert r1.to_dict() == r2.to_dict()
 
@@ -818,11 +806,11 @@ def test_run_trials_caps_threads_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(protocol, "ThreadPoolExecutor", Recorder)
     cfg = make_config(2, 1, L=30_000)
-    serial = run_trials(cfg, ChannelModel.noiseless(), 3, workers=1)
+    serial = run_trials(cfg, ChannelModel(), 3, workers=1)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
-    capped = run_trials(cfg, ChannelModel.noiseless(), 3, workers=10_000)
+    capped = run_trials(cfg, ChannelModel(), 3, workers=10_000)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
-    unknown = run_trials(cfg, ChannelModel.noiseless(), 3, workers=10_000)
+    unknown = run_trials(cfg, ChannelModel(), 3, workers=10_000)
     assert seen == [2]  # None counts as one CPU: no pool at all
     assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial] == [r.to_dict() for r in unknown]
 
