@@ -296,17 +296,10 @@ def _cmd_thresholds(args, seed):
     degrees = _parse_degree_range(args.n)
     if args.p != 2:
         raise ConfigError("threshold formulas exist only for characteristic 2")
-    rows, full = [], []
-    for n in degrees:
-        t = thresholds(2**n)
-        rows.append(
-            {
-                "N": t.N,
-                "sbmer_percent": f"{100 * t.e_sbmer:.2f}",
-                "ber_percent": f"{100 * t.e_ber:.2f}",
-            }
-        )
-        full.append({"N": t.N, "e_qer": t.e_qer, "e_sbmer": t.e_sbmer, "e_ber": t.e_ber})
+    table = [thresholds(2**n) for n in degrees]
+    rows = [{"N": t.N, "sbmer_percent": f"{100 * t.e_sbmer:.2f}",
+             "ber_percent": f"{100 * t.e_ber:.2f}"} for t in table]
+    full = [{"N": t.N, "e_qer": t.e_qer, "e_sbmer": t.e_sbmer, "e_ber": t.e_ber} for t in table]
     report = _report_skeleton(args, None, seed)
     report["result"] = {"rows": rows, "full_precision": full}
     _emit(args, report, csv_rows=rows)
@@ -333,21 +326,23 @@ def _make_channel(args, gf) -> ChannelModel:
     """The raw-label law a channel name stands for: pauli-iid's is the
     worst-case law of its QER; every other name's is the measurement twirl
     at some q, the grouped attack's that of intercept-resend, since it
-    measures the whole qubit group.  ChannelModel.validate checks q's range
-    in run_protocol, after the run's config."""
+    measures the whole qubit group.  A flag the channel does not read is an
+    error; ChannelModel.validate checks q's range, after the run's config."""
     kind = args.channel
+    reads = {"noiseless": None, "pauli-iid": "qer", "per-qubit-attack": "q_prime"}.get(kind, "q")
+    for name in ("qer", "q", "q_prime"):
+        if name != reads and getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to the {kind} channel")
     if kind == "noiseless":
         return ChannelModel()
-    if kind == "pauli-iid":
-        if args.qer is None:
-            raise ConfigError("pauli-iid channel needs --qer")
-        if not 0.0 <= args.qer <= 1.0:
-            raise ConfigError("--qer must lie in [0, 1]")
-        dist = worst_case_distribution(gf, field_setup(gf)[1], 1.0 - args.qer)
-        return ChannelModel(label_rates=dist.rates)
-    flag, q = ("--q-prime", args.q_prime) if kind == "per-qubit-attack" else ("--q", args.q)
+    q = getattr(args, reads)
     if q is None:
-        raise ConfigError(f"{kind} channel needs {flag}")
+        raise ConfigError(f"{kind} channel needs --{reads.replace('_', '-')}")
+    if kind == "pauli-iid":
+        if not 0.0 <= q <= 1.0:
+            raise ConfigError("--qer must lie in [0, 1]")
+        dist = worst_case_distribution(gf, field_setup(gf)[1], 1.0 - q)
+        return ChannelModel(label_rates=dist.rates)
     if kind != "intercept-resend" and gf.p != 2:
         raise ConfigError(kind.replace("-attack", " attack") + " requires characteristic 2")
     if kind == "per-qubit-attack" and 0.0 <= q <= 1.0:  # the rule could map a bad q' into range

@@ -12,11 +12,13 @@ M's action on labels is one cached table, conjugation_tables, built by
 iterating M and checked to have order N+1.  The label classes (the
 orbits of M), T's conjugation check and the protocol's sift all read it.
 
-T is assembled in one gather from its coefficients and checked by
-verify_T before it is returned: unitarity, the conjugation relation for
-every label, the order, the unbiasedness of the bases its powers give,
-and flat coefficients, all at TOL = 1e-10.  One walk over T's powers yields
-both the order and the unbiasedness.  A T failing any check is never
+The search for c and M reads the field tables directly.  T is assembled
+in one gather from its coefficients and checked by verify_T before it is
+returned: unitarity, the conjugation relation for every label (a block of
+label rows per pass, each temporary at most _BLOCK = 2^14 entries, 256 KB,
+so that it stays in L2 cache), the order and the unbiasedness of the bases
+its powers give (one walk, its powers checked stacked in one batch), and
+flat coefficients, all at TOL = 1e-10.  A T failing any check is never
 handed out; `verify` reports the checks construction ran (TOperator.report).
 """
 
@@ -32,6 +34,7 @@ from .fields import _TABLE_MAX, GF, _prime_divisors
 
 # The tolerance of every residual check on T.
 TOL = 1e-10
+_BLOCK = 1 << 14  # entries per temporary of the conjugation check
 
 
 @dataclass(frozen=True)
@@ -90,18 +93,20 @@ def find_char_poly(gf: GF) -> int:
 
 
 def _y_power(gf: GF, c: int, e: int) -> tuple[int, int]:
-    """y^e in GF(N)[y]/(y^2 + c*y + 1) as (u, v), standing for u + v*y."""
+    """y^e in GF(N)[y]/(y^2 + c*y + 1) as (u, v), standing for u + v*y.  The
+    operands are c and table entries, so the tables are read unchecked."""
+    add, sub, mul = gf.add_table.item, gf.sub_table.item, gf.mul_table.item
 
-    def mul(x, z):  # (u + v y)(s + t y), reduced with y^2 = -c y - 1
-        vt = gf.mul(x[1], z[1])
-        cross = gf.add(gf.mul(x[0], z[1]), gf.mul(x[1], z[0]))
-        return gf.sub(gf.mul(x[0], z[0]), vt), gf.sub(cross, gf.mul(c, vt))
+    def times(x, z):  # (u + v y)(s + t y), reduced with y^2 = -c y - 1
+        vt = mul(x[1], z[1])
+        cross = add(mul(x[0], z[1]), mul(x[1], z[0]))
+        return sub(mul(x[0], z[0]), vt), sub(cross, mul(c, vt))
 
     result, base = (1, 0), (0, 1)
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = times(result, base)
+        base = times(base, base)
         e >>= 1
     return result
 
@@ -110,21 +115,20 @@ def choose_M(gf: GF, c: int) -> SymplecticParams:
     """Pick (alpha, beta, gamma) with alpha*gamma - beta^2 = 1 and
     alpha + gamma = -c, following the two solvable cases: beta^2 = -1
     with alpha = 0, or alpha = 1 with beta^2 = -c - 2 (the smaller root)."""
-    p = gf.p
+    sub, mul = gf.sub_table.item, gf.mul_table.item
+    p, gamma = gf.p, gf.neg(c)  # neg checks c; the rest reads the tables
     if p == 2 or p % 4 == 1:
-        beta = gf.sqrt(gf.neg(1))
+        beta = gf.sqrt(sub(0, 1))
         if beta is None:
             raise InvariantViolation("sqrt(-1) missing in a p = 2 or p = 1 mod 4 field")
-        alpha, gamma = 0, gf.neg(c)
+        alpha = 0
     else:
-        alpha = 1
-        gamma = gf.neg(gf.add(c, 1))
-        beta = gf.sqrt(gf.sub(gamma, 1))  # alpha*gamma - 1 = -c - 2
+        alpha, gamma = 1, sub(gamma, 1)
+        beta = gf.sqrt(sub(gamma, 1))  # alpha*gamma - 1 = -c - 2
         if beta is None:
             raise InvariantViolation("-c - 2 has no square root in the base field")
     params = SymplecticParams(alpha, beta, gamma, c)
-    lhs = gf.sub(gf.mul(alpha, gamma), gf.mul(beta, beta))
-    if lhs != 1:
+    if sub(mul(alpha, gamma), mul(beta, beta)) != 1:
         raise InvariantViolation("alpha*gamma - beta^2 != 1 (construction bug)")
     return params
 
@@ -219,11 +223,10 @@ def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray,
     N, p = gf.N, gf.p
     add, mul, sub, tr = gf.add_table, gf.mul_table, gf.sub_table, gf.trace_table
     al, be, ga = params.alpha, params.beta, params.gamma
-    det = gf.sub(gf.add(1, 1), gf.add(al, ga))  # det(M - I) = 2-alpha-gamma
-    dinv = gf.inv(det)
-    i00, i01 = gf.mul(dinv, gf.sub(ga, 1)), gf.neg(gf.mul(dinv, be))
-    i11 = gf.mul(dinv, gf.sub(al, 1))
-    g1 = gf.sub(ga, 1)
+    det = sub[add[1, 1], add[al, ga]]  # det(M - I) = 2-alpha-gamma
+    dinv = np.flatnonzero(mul[det] == 1)[0]
+    g1 = sub[ga, 1]
+    i00, i01, i11 = mul[dinv, g1], sub[0, mul[dinv, be]], mul[dinv, sub[al, 1]]
     I, J = np.ogrid[:N, :N]
     a = add[mul[i00, I], mul[i01, J]]
     b = add[mul[i01, I], mul[i11, J]]
@@ -261,22 +264,23 @@ def _assemble(gf: GF, lam: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_table) -> float:
-    """max over all N^2 labels of |X_a Z_b T - omega^f(a,b) T X_a' Z_b'|, one
-    row of labels (fixed a, all b) at a time.  Row u of X_a Z_b T is
+    """max over all N^2 labels of |X_a Z_b T - omega^f(a,b) T X_a' Z_b'|, a
+    block of label rows (fixed a, all b) per pass.  Row u of X_a Z_b T is
     chi[b, u-a] T[u-a, :]; column v of T X_a' Z_b' is chi[b', v] T[:, a'+v]."""
-    add, sub = gf.add_table, gf.sub_table
+    N, add, sub = gf.N, gf.add_table, gf.sub_table
     a_img, b_img = (t[1] for t in conjugation_tables(gf, params))
     chi = _char_table(gf)
     # omega_p^(k/d) for every value k/d of f (omega_2^(1/2) = +i), looked up per label
     values = np.array([[np.exp(2j * np.pi * k / (gf.p * d)) for k in range(2 * gf.p)] for d in (1, 2)])
     ph = values[f_table[1] - 1, f_table[0]]
+    rows = max(1, _BLOCK // N**3)  # one at N >= 26
     worst = 0.0
-    for a in gf.elements():
-        src = sub[:, a]
-        left = chi[:, src][:, :, None] * T[src, :][None, :, :]
-        right = T[:, add[a_img[a]]].transpose(1, 0, 2) * chi[b_img[a]][:, None, :]
-        resid = np.abs(left - ph[a][:, None, None] * right).max()
-        worst = max(worst, float(resid))
+    for start in range(0, N, rows):
+        a = slice(start, start + rows)
+        src = sub[:, a].T  # [a, u] = u - a
+        left = chi[:, src].transpose(1, 0, 2)[..., None] * T[src][:, None]
+        right = T[:, add[a_img[a]]].transpose(1, 2, 0, 3) * chi[b_img[a]][:, :, None, :]
+        worst = max(worst, float(np.abs(left - ph[a][:, :, None, None] * right).max()))
     return worst
 
 
@@ -284,20 +288,20 @@ def _walk_powers(T: np.ndarray, max_power: int) -> tuple[int, float]:
     """(order, MUB deviation) from one walk over T, T^2, ...  The order is
     the smallest k with T^k a scalar multiple of the identity, 0 if none
     within 2(N+1) powers; the deviation is the largest ||T^k|^2 - 1/N| over
-    powers 1..max_power."""
+    powers 1..max_power.  Both are checked on the stacked powers in a batch:
+    1..max(N+1, max_power), and up to 2(N+1) only if none of those is scalar."""
     N = T.shape[0]
-    order, mub_dev = 0, 0.0
-    P = np.eye(N, dtype=np.complex128)
-    for k in range(1, 2 * (N + 1) + 1):
-        P = P @ T
-        if k <= max_power:
-            mub_dev = max(mub_dev, float(np.abs(np.abs(P) ** 2 - 1.0 / N).max()))
-        scal = np.trace(P) / N
-        if not order and np.abs(P - scal * np.eye(N)).max() < TOL and abs(scal) > 0.5:
-            order = k
-        if order and k >= max_power:
+    walk, order = [np.eye(N, dtype=np.complex128)], 0
+    for count in (max(N + 1, max_power), 2 * (N + 1)):
+        while len(walk) <= count:
+            walk.append(walk[-1] @ T)
+        P = np.stack(walk[1:])
+        scal = np.trace(P, axis1=1, axis2=2) / N
+        hit = (np.abs(P - scal[:, None, None] * np.eye(N)).max(axis=(1, 2)) < TOL) & (np.abs(scal) > 0.5)
+        if hit[: 2 * (N + 1)].any():
+            order = int(hit.argmax()) + 1
             break
-    return order, mub_dev
+    return order, float(np.abs(np.abs(P[:max_power]) ** 2 - 1.0 / N).max(initial=0.0))
 
 
 def build_T(gf: GF, params: SymplecticParams) -> TOperator:

@@ -419,6 +419,52 @@ def test_attack_channel_arguments_are_checked(capsys, flags, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("channel, flags", [
+    ("pauli-iid", ["--qer", "0.2", "--q", "7"]),
+    ("pauli-iid", ["--qer", "0.2", "--q-prime", "0.1"]),
+    ("intercept-resend", ["--q", "0.2", "--q-prime", "5"]),
+    ("intercept-resend", ["--q", "0.2", "--qer", "0.1"]),
+    ("grouped-attack", ["--q", "0.2", "--qer", "0.1"]),
+    ("grouped-attack", ["--q", "0.2", "--q-prime", "0.1"]),
+    ("per-qubit-attack", ["--q-prime", "0.1", "--qer", "0.1"]),
+    ("per-qubit-attack", ["--q-prime", "0.1", "--q", "0.2"]),
+    ("noiseless", ["--qer", "0.1"]),
+    ("noiseless", ["--q", "0.2"]),
+    ("noiseless", ["--q-prime", "0.1"]),
+])
+def test_channel_flags_the_channel_does_not_read_are_config_errors(capsys, channel, flags):
+    # the report's config block would record a value the run never read;
+    # the stray flag is the last one given
+    argv = ["simulate", "--p", "2", "--n", "2", "--L", "1000", "--seed", "1", "--channel", channel]
+    assert cli.main([*argv, *flags]) == 3
+    message = f"{flags[-2]} does not apply to the {channel} channel"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_channel_flag_from_config_file_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 7}))
+    assert cli.main(["simulate", "--config", str(cfg), "--p", "2", "--L", "1000", "--seed", "1",
+                     "--channel", "pauli-iid", "--qer", "0.2"]) == 3
+    assert capsys.readouterr().err == "config error: --q does not apply to the pauli-iid channel\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    # a stray flag is named before a missing one ...
+    (["--p", "2", "--channel", "pauli-iid", "--q", "0.2"], "--q does not apply to the pauli-iid channel"),
+    (["--p", "2", "--channel", "per-qubit-attack", "--q", "0.2"],
+     "--q does not apply to the per-qubit-attack channel"),
+    # ... and before the characteristic the qubit attacks need
+    (["--p", "3", "--channel", "grouped-attack", "--q", "0.5", "--qer", "0.1"],
+     "--qer does not apply to the grouped-attack channel"),
+    (["--p", "3", "--channel", "per-qubit-attack", "--q-prime", "0.1", "--q", "0.2"],
+     "--q does not apply to the per-qubit-attack channel"),
+])
+def test_stray_channel_flag_is_the_first_channel_error(capsys, flags, message):
+    assert cli.main(["simulate", "--n", "1", "--L", "1000", "--seed", "1", *flags]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_simulate_requires_seed():
     res = run_cli(["simulate", "--p", "2", "--n", "1", "--L", "1000", "--channel", "noiseless"])
     assert res.returncode == 3

@@ -485,15 +485,20 @@ def test_conjugation_residual_matches_scalar_reference(p, n):
         assert new == scalar_conjugation_residual(gf, top.params, T, top.f_table)
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+# (2, 4) runs four blocks of 4 label rows, (13, 1) blocks of 7 and 6 rows
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (2, 4), (13, 1)])
 def test_conjugation_residual_covers_every_label(p, n):
+    # one label's phase moved by one step of omega_p^(1/den) leaves that label
+    # off by the step times T's flat entries, 1/sqrt(N)
     top = cached_top(p, n)
     num, den = top.f_table
     for a in top.gf.elements():
         for b in top.gf.elements():
             wrong = num.copy()
             wrong[a, b] = (wrong[a, b] + 1) % (p * den[a, b])
-            assert _conjugation_residual(top.gf, top.params, top.matrix, (wrong, den)) > 0.5
+            step = abs(1 - np.exp(2j * np.pi / (p * den[a, b]))) / np.sqrt(top.gf.N)
+            residual = _conjugation_residual(top.gf, top.params, top.matrix, (wrong, den))
+            assert residual == pytest.approx(step, abs=1e-12)
 
 
 def test_global_branch_candidate_fails_conjugation_at_n8():
@@ -592,12 +597,31 @@ def reference_mub_deviation(T, max_power):
 def test_walk_powers_matches_separate_walks(p, n):
     # the built T (order N+1, beyond every MUB power), a permutation of
     # order 2 (found before the MUB powers end), a non-unitary one whose
-    # powers past its order still grow, and matrices with no scalar power
+    # powers past its order still grow, matrices with no scalar power, and
+    # one of order 7 > N+1, found only past the first N+1 powers, with a
+    # scaled copy whose seventh power is too small to count
     T = cached_top(p, n).matrix
     N = T.shape[0]
     swap = np.eye(N, dtype=np.complex128)[[1, 0, *range(2, N)]]
     drift = np.diag(np.exp(1j * np.sqrt(2) * np.arange(N)))
-    for M in (T, swap, 1.1 * swap, drift, T @ drift):
+    seventh = np.diag(np.exp(2j * np.pi * np.arange(N) / 7))
+    for M in (T, swap, 1.1 * swap, drift, T @ drift, seventh, 0.5 * seventh):
         for max_power in range(N + 1):
             assert _walk_powers(M, max_power) == (reference_order(M, TOL),
                                                    reference_mub_deviation(M, max_power))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (251, 1), (2, 8)])
+def test_parameter_search_makes_no_scalar_field_calls(monkeypatch, p, n):
+    # the search reads the field tables; the bounds-checked scalar methods,
+    # counted as the benchmark's fields.scalar_calls counts them, stay unused
+    gf, calls = make_field(p, n), []
+    for name in ("add", "sub", "mul", "pow", "trace"):
+        def counted(*args, _real=getattr(type(gf), name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(type(gf), name, counted)
+    m = choose_M(gf, find_char_poly(gf))
+    assert (m.c, m.alpha, m.beta, m.gamma) == PINNED_PARAMS[p, n]
+    assert calls == []
