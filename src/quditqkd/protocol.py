@@ -29,13 +29,16 @@ bucket table answering most of them without choice's binary search; the
 labels and the generator state afterwards are choice's, so reports stay
 byte-identical to drawing them with Generator.choice.
 
-run_protocol calls the stages in order, on plain arrays; the first three
+run_protocol calls the stages in order, on plain arrays; the first four
 walk the pool a block of registers at a time.  sample_raw_labels draws the
-flat raw labels; sift conjugates them into (a, b) and counts each set per
-block; estimate_qer sacrifices the test picks and removes them from
-(a, b, s) in place, leaving the untested registers packed at the front;
-run_protocol then sets Bob's value s + a on those alone; locc2_ep_round
-runs once per purification round; pec_majority extracts the key digits.
+flat raw labels; sift conjugates them into (a, b), writing a over the raw
+labels it has read, and counts each set per block; estimate_qer sacrifices
+the test picks and removes them from (a, b, s) in place, leaving the
+untested registers packed at the front; run_protocol then sets Bob's value
+s + a on those alone, in the set-index buffer that testing has spent;
+locc2_ep_round runs once per purification round; pec_majority extracts the
+key digits.  The pool-sized arrays are four: the set indices, Alice's
+values, the raw labels and b.
 
 No stage shuffles the pool.  Every channel is i.i.d. per particle, and
 testing takes uniform picks from each set blind to labels, so the
@@ -314,23 +317,34 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     Returns (a, b, block_sizes, post_sift_label_counts): the effective spin
     and phase labels, the size of each set within each block of the pool
     (shape (blocks, N+1); the column sums are the set sizes) and the count of
-    each label a*N + b.  run_protocol sets Bob's value s + a after testing.
+    each label a*N + b.  a is written over the contiguous *labels* buffer, as
+    its first set_idx.size bytes: block j writes only bytes of labels that
+    blocks 0..j have read, whatever the label dtype, so the caller's labels
+    are spent.  run_protocol sets Bob's value s + a after testing.
     """
     N = gf.N
     ca, cb = conjugation_tables(gf, params)
-    a, b = np.empty(set_idx.size, np.uint8), np.empty(set_idx.size, np.uint8)
+    # both sifted labels of each flat (set, raw a, raw b) index, as a | b << 8
+    packed = (ca | cb.astype(np.uint16) << 8).ravel()
+    a, b = labels.view(np.uint8)[: set_idx.size], np.empty(set_idx.size, np.uint8)
     raw_counts = np.zeros((N + 1) * N * N, np.intp)
     block_sizes = np.empty((-(-set_idx.size // _kernels.BLOCK), N + 1), np.intp)
-    # one intp index buffer, so neither np.take nor bincount copies an index
+    # the flat (set, raw a, raw b) index is computed in the narrowest dtype
+    # that holds it, where the multiply and add are cheapest, then widened
+    # once into an intp buffer, so neither np.take nor bincount copies an index
     buf = np.empty(min(_kernels.BLOCK, set_idx.size), np.intp)
+    narrow_buf = np.empty(buf.size, np.min_scalar_type((N + 1) * N * N - 1))
+    pair_buf = np.empty(buf.size, np.uint16)
     for j, start in enumerate(range(0, set_idx.size, _kernels.BLOCK)):
         blk = slice(start, start + _kernels.BLOCK)
-        idx = buf[: set_idx[blk].size]
-        idx[...] = set_idx[blk]  # flat (set, raw a, raw b) index
-        idx *= N * N
-        idx += labels[blk]
-        np.take(ca.ravel(), idx, out=a[blk], mode="clip")
-        np.take(cb.ravel(), idx, out=b[blk], mode="clip")
+        m = set_idx[blk].size
+        idx, narrow, pair = buf[:m], narrow_buf[:m], pair_buf[:m]
+        np.multiply(set_idx[blk], N * N, out=narrow, dtype=narrow.dtype)
+        narrow += labels[blk]
+        idx[...] = narrow
+        np.take(packed, idx, out=pair, mode="clip")
+        a[blk] = pair  # the truncating copy keeps the low byte
+        np.right_shift(pair, 8, out=b[blk], casting="unsafe")
         cnt = np.bincount(idx, minlength=(N + 1) * N * N)
         block_sizes[j] = cnt.reshape(N + 1, N * N).sum(axis=1)
         raw_counts += cnt
@@ -354,9 +368,10 @@ def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshol
     Set sizes are random, so a set smaller than its test count aborts.
 
     *pool* is (a, b, s): sift's labels and Alice's values; run_protocol sets
-    Bob's value afterwards, on the untested registers alone.  The tested
-    registers are removed from all three arrays in place, keeping pool
-    order, and the first EstimateResult.kept entries of each are untested.
+    Bob's value afterwards, on the untested registers alone, writing it over
+    set_idx, which is spent once this returns.  The tested registers are
+    removed from all three arrays in place, keeping pool order, and the
+    first EstimateResult.kept entries of each are untested.
     """
     picks = []
     for i, (size, want) in enumerate(zip(block_sizes.sum(axis=0).tolist(), test_counts.tolist())):
@@ -427,14 +442,14 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
 # Round/repetition selection
 # ----------------------------------------------------------------------
 
-def _bounds_after(wc: Optional[ErrorDistribution], e00_eff: float, k: int):
+def _bounds_after(d_k: Optional[ErrorDistribution], e00_eff: float, k: int):
     """r -> worst-case (spin, phase) residual bounds after k rounds and [r,1,r]
-    voting at assumed initial rate e00_eff, or None without a worst case wc.
-    The closed form and the bound's other r-free terms are built once, on
+    voting at assumed initial rate e00_eff, for the worst case d_k after those
+    rounds, or None without one.  The bound's r-free terms are built once, on
     first use."""
-    if wc is None:
+    if d_k is None:
         return None
-    terms = cache(lambda: pec_bound_terms(ep_closed_form(wc, k), e00_eff, k))
+    terms = cache(lambda: pec_bound_terms(d_k, e00_eff, k))
 
     def bounds(r: int) -> tuple[float, float]:
         b = terms().at(r)
@@ -539,7 +554,6 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         test_counts = np.maximum(test_counts, 1)
     threshold = config.resolved_abort_threshold()
     est = estimate_qer(gf, set_idx, block_sizes, (a, b, s), test_counts, threshold, rng)
-    del set_idx
     report.e_hats = est.e_hats
     report.qer_estimate = est.qer_estimate
     if est.abort_reason is not None:
@@ -548,17 +562,20 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         return report
 
     a, b, s = (v[: est.kept] for v in (a, b, s))
-    bob = _kernels.gf_add(gf.add_table, s, a)  # Bob's value, for the untested registers only
+    # Bob's value, for the untested registers only, in the spent set-index buffer
+    bob = _kernels.gf_add(gf.add_table, s, a, out=set_idx[: est.kept])
+    del set_idx
 
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
     # residual bounds are derived for p = 2 inside the dominance region only
     analytic_ok = gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0
-    wc = worst_case_distribution(gf, partition, e00_eff) if analytic_ok else None
+    # the worst case after k rounds; each round's closed form squares on the last one's
+    d_k = worst_case_distribution(gf, partition, e00_eff) if analytic_ok else None
     rounds = config.ep_rounds if config.ep_rounds is not None else config.ep_rounds_max
     k = 0
     while True:
-        choice = _choose_r(config, _bounds_after(wc, e00_eff, k), a.size, k == rounds)
+        choice = _choose_r(config, _bounds_after(d_k, e00_eff, k), a.size, k == rounds)
         if choice is not None:
             break
         if a.size < 2:
@@ -567,6 +584,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
             return report
         a, b, s, bob = locc2_ep_round(gf, a, b, s, bob)
         k += 1
+        d_k = ep_closed_form(d_k, 1) if d_k is not None else None
         report.ep_rounds = k
         report.survivors_per_round.append(int(a.size))
         if a.size and not (bob == _kernels.gf_add(gf.add_table, s, a)).all():

@@ -78,6 +78,36 @@ def test_ep_round_paths_agree(small_pool):
             assert g.dtype == np.uint8 and g.tolist() == w
 
 
+def ep_round_one_shot(a, b, s, bob, add_t):
+    # the whole pool in one pass
+    m = a.size // 2
+    ctl = 2 * np.flatnonzero(a[0 : 2 * m : 2] == a[1 : 2 * m : 2])
+    return a[ctl], add_t[b[ctl], b[ctl + 1]].astype(np.uint8), s[ctl], bob[ctl]
+
+
+@pytest.mark.parametrize("block", [7, 8])
+def test_ep_round_blocks_match_one_shot(monkeypatch, block):
+    """The blockwise round equals a one-shot pass over the whole pool for
+    pools of 0-5 registers and around block edges, and leaves its inputs
+    alone.  An odd BLOCK steps by BLOCK + 1, so a pair never straddles two
+    blocks."""
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    sizes = [*range(6), block - 1, block, block + 1, block + 2, 2 * block - 1, 2 * block,
+             2 * block + 1, 2 * block + 2, 5 * block + 3]
+    for p, n in [(2, 2), (5, 1)]:  # XOR and table addition
+        add_t = make_field(p, n).add_table
+        for size in sizes:
+            a = rng.integers(0, 2, size, dtype=np.uint8)  # about half the pairs agree
+            b, s = rng.integers(0, p**n, (2, size), dtype=np.uint8)
+            regs = (a, b, s, add_t[s, a].astype(np.uint8))
+            before = [v.copy() for v in regs]
+            got = kernels.ep_round(*regs, add_t)
+            for g, w in zip(got, ep_round_one_shot(*regs, add_t)):
+                assert g.dtype == np.uint8 and g.tolist() == w.tolist(), (p, n, size)
+            assert all(np.array_equal(v, w) for v, w in zip(regs, before))
+
+
 def test_group_sums_paths_agree():
     """The kernel and the plain-Python reference agree, in even and odd
     characteristic."""
