@@ -8,7 +8,7 @@ round's blocks hold an even number of registers (an odd BLOCK is rounded
 up), so a pair never straddles two blocks; each block's surviving pairs
 are found by comparing the two bytes of each 16-bit word of spin labels,
 gathered from the block's contiguous registers, and joined to the previous
-blocks' in pool order."""
+blocks' in pool order, one output array at a time."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ import numpy as np
 # benchmark provenance records the kernel path from this name.
 USING_NUMBA = False
 
-# Elements drawn, counted or argsorted at a time, cache-sized: a block's
-# 1 MB intp buffer fits in a 2 MB L2 cache, a 2^18 block's 2 MB fills it.
-# On a 2-core Xeon with that L2, a stable block argsort in the N = 16,
-# L = 1.5e8 simulation, with the allocator warm, cost 3.5-4.5 ns per
-# element at each block size from 2^15 to 2^18.
+# Registers drawn, looked up, counted or moved at a time, cache-sized: a
+# block's 1 MB intp index buffer (the sift's flat index, gf_add's table
+# index, the pauli-iid draw's bucket index) fits in a 2 MB L2 cache, where
+# a 2^18 block's 2 MB would fill it.
 BLOCK = 1 << 17
 
 
@@ -56,7 +55,7 @@ def gf_add(add_t, x, y, out=None):
 def ep_round(a, b, s, bob, add_t):
     step = BLOCK + BLOCK % 2
     paired = a.size - a.size % 2
-    parts = []
+    parts = ([], [], [], [])  # each output's blocks
     for start in range(0, max(paired, 1), step):  # an empty pool makes one empty block
         blk = slice(start, min(start + step, paired))
         ab = a[blk]
@@ -66,8 +65,15 @@ def ep_round(a, b, s, bob, add_t):
         bb = b[blk]
         phase = bb.take(ctl)
         gf_add(add_t, phase, bb.take(ctl + 1), out=phase)
-        parts.append((ab.take(ctl), phase, s[blk].take(ctl), bob[blk].take(ctl)))
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        for part, v in zip(parts, (ab.take(ctl), phase, s[blk].take(ctl), bob[blk].take(ctl))):
+            part.append(v)
+    # each output's blocks are dropped as it is joined, so the survivors are
+    # held once, plus one output's blocks
+    out = []
+    for part in parts:
+        out.append(part[0] if len(part) == 1 else np.concatenate(part))
+        part.clear()
+    return tuple(out)
 
 
 # Field addition adds base-p digits mod p: sum each digit over a group.

@@ -32,22 +32,25 @@ byte-identical to drawing them with Generator.choice.
 run_protocol calls the stages in order, on plain arrays; the first four
 walk the pool a block of registers at a time.  sample_raw_labels draws the
 flat raw labels; sift conjugates them into (a, b), writing a over the raw
-labels it has read, and counts each set per block; estimate_qer sacrifices
-the test picks and removes them from (a, b, s) in place, leaving the
-untested registers packed at the front; run_protocol then sets Bob's value
-s + a on those alone, in the set-index buffer that testing has spent;
-locc2_ep_round runs once per purification round; pec_majority extracts the
-key digits.  The pool-sized arrays are four: the set indices, Alice's
-values, the raw labels and b.
+labels it has read, and counts each set; estimate_qer picks each set's
+test registers by thinning (a register is marked when one generator byte
+is below k; each set tests a uniform choice of its marked members) and
+removes them from (a, b, s) in place, leaving the untested registers
+packed at the front; run_protocol then sets Bob's value s + a on those
+alone, in the set-index buffer that testing has spent; locc2_ep_round
+runs once per purification round; pec_majority extracts the key digits.
+The pool-sized arrays are four: the set indices, Alice's values, the raw
+labels and b.
 
 No stage shuffles the pool.  Every channel is i.i.d. per particle, and
-testing takes uniform picks from each set blind to labels, so the
-untested pool is exchangeable; pairing adjacent registers (purification)
-or grouping consecutive ones (majority vote) then has the law of doing
-so after a uniform shuffle, and survivors stay exchangeable.  A channel
-that is not i.i.d. must shuffle first.  Testing the first members of
-each set would break this: sets of sizes (3, 2), one test each, leave
-the orders AAB/ABA/BAA 4/3/3 times.
+testing takes uniform picks from each set blind to labels (thinning's
+picks have exactly the law of rng.choice among all of a set's members;
+see estimate_qer), so the untested pool is exchangeable; pairing adjacent
+registers (purification) or grouping consecutive ones (majority vote)
+then has the law of doing so after a uniform shuffle, and survivors stay
+exchangeable.  A channel that is not i.i.d. must shuffle first.  Testing
+the first members of each set would break this: sets of sizes (3, 2), one
+test each, leave the orders AAB/ABA/BAA 4/3/3 times.
 """
 
 from __future__ import annotations
@@ -314,9 +317,8 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     """Conjugate each sifted register's flat raw label (from sample_raw_labels)
     into the computational frame of its set's power, a block at a time.
 
-    Returns (a, b, block_sizes, post_sift_label_counts): the effective spin
-    and phase labels, the size of each set within each block of the pool
-    (shape (blocks, N+1); the column sums are the set sizes) and the count of
+    Returns (a, b, set_sizes, post_sift_label_counts): the effective spin
+    and phase labels, the size of each of the N + 1 sets and the count of
     each label a*N + b.  a is written over the contiguous *labels* buffer, as
     its first set_idx.size bytes: block j writes only bytes of labels that
     blocks 0..j have read, whatever the label dtype, so the caller's labels
@@ -328,14 +330,13 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     packed = (ca | cb.astype(np.uint16) << 8).ravel()
     a, b = labels.view(np.uint8)[: set_idx.size], np.empty(set_idx.size, np.uint8)
     raw_counts = np.zeros((N + 1) * N * N, np.intp)
-    block_sizes = np.empty((-(-set_idx.size // _kernels.BLOCK), N + 1), np.intp)
     # the flat (set, raw a, raw b) index is computed in the narrowest dtype
     # that holds it, where the multiply and add are cheapest, then widened
     # once into an intp buffer, so neither np.take nor bincount copies an index
     buf = np.empty(min(_kernels.BLOCK, set_idx.size), np.intp)
     narrow_buf = np.empty(buf.size, np.min_scalar_type((N + 1) * N * N - 1))
     pair_buf = np.empty(buf.size, np.uint16)
-    for j, start in enumerate(range(0, set_idx.size, _kernels.BLOCK)):
+    for start in range(0, set_idx.size, _kernels.BLOCK):
         blk = slice(start, start + _kernels.BLOCK)
         m = set_idx[blk].size
         idx, narrow, pair = buf[:m], narrow_buf[:m], pair_buf[:m]
@@ -345,12 +346,10 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
         np.take(packed, idx, out=pair, mode="clip")
         a[blk] = pair  # the truncating copy keeps the low byte
         np.right_shift(pair, 8, out=b[blk], casting="unsafe")
-        cnt = np.bincount(idx, minlength=(N + 1) * N * N)
-        block_sizes[j] = cnt.reshape(N + 1, N * N).sum(axis=1)
-        raw_counts += cnt
+        raw_counts += np.bincount(idx, minlength=(N + 1) * N * N)
     codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
     counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
-    return a, b, block_sizes, counts
+    return a, b, raw_counts.reshape(N + 1, N * N).sum(axis=1), counts
 
 
 @dataclass
@@ -361,11 +360,41 @@ class EstimateResult:
     kept: int  # untested registers, packed at the front of the pool
 
 
-def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshold: float,
+# A set of n registers, each marked with probability k/256, has fewer than t
+# marks with probability at most exp(-(mu - t)^2 / (2 mu)) when its mean
+# mu = n k / 256 is at least t (Chernoff).  _thinning_level keeps that at or
+# below exp(-_SHORT_LOG) = 1e-12 / 256 in each of the at most 256 sets, so a
+# run redraws its marks with probability at most 1e-12.
+_SHORT_LOG = math.log(256e12)
+
+
+def _thinning_level(set_sizes, test_counts) -> int:
+    """The least k <= 256 whose marks fall short of a set's test count with
+    probability at most exp(-_SHORT_LOG), in every set."""
+    c = 2 * _SHORT_LOG
+    # the least mean with (mu - t)^2 >= c mu
+    mu = ((math.sqrt(c) + np.sqrt(c + 4 * test_counts)) / 2) ** 2
+    return int(min(256, np.ceil(256 * mu / np.maximum(set_sizes, 1)).max()))
+
+
+def estimate_qer(gf: GF, set_idx, set_sizes, pool, test_counts, abort_threshold: float,
                  rng: np.random.Generator) -> EstimateResult:
     """Sacrifice test_counts[i] uniformly random members of each set,
     estimate the per-set disagreement rates and the QER upper bound.
     Set sizes are random, so a set smaller than its test count aborts.
+
+    The test registers are picked by thinning.  Every register is marked
+    when one generator byte is below k, so each mark is Bernoulli(k/256),
+    for k from _thinning_level; while some set has fewer marks than its test
+    count, all marks are drawn again at twice the k, up to k = 256, which
+    marks every register.  Each set then tests test_counts[i] of its marked
+    members, chosen by rng.choice.  Given the set indices, acceptance reads
+    only the per-set mark counts; given its count, a set's marked members
+    are a uniform subset of it, independently across sets; so the tested
+    members are a uniform test_counts[i]-subset of each set, blind to the
+    labels: the law of choosing them by rng.choice among all the members.
+    The bytes come from whole 32-bit outputs, so they do not depend on
+    _kernels.BLOCK.
 
     *pool* is (a, b, s): sift's labels and Alice's values; run_protocol sets
     Bob's value afterwards, on the untested registers alone, writing it over
@@ -373,39 +402,46 @@ def estimate_qer(gf: GF, set_idx, block_sizes, pool, test_counts, abort_threshol
     removed from all three arrays in place, keeping pool order, and the
     first EstimateResult.kept entries of each are untested.
     """
-    picks = []
-    for i, (size, want) in enumerate(zip(block_sizes.sum(axis=0).tolist(), test_counts.tolist())):
+    for i, (size, want) in enumerate(zip(set_sizes.tolist(), test_counts.tolist())):
         if size < want:
             return EstimateResult([], 0.0, f"set {i} holds {size} particles, cannot test {want}", 0)
-        picks.append(rng.choice(size, size=want, replace=False))
-    # a pick's rank within its set locates its block on the set's cumulative
-    # block sizes, and then its rank among that block's members of the set
+    n = set_idx.size
+    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per chunk
+    k = _thinning_level(set_sizes, test_counts)
+    while True:
+        marked, marks = [], np.zeros(gf.N + 1, np.intp)
+        for start in range(0, n, step):
+            m = min(step, n - start)
+            pos = np.flatnonzero(_raw_u32(rng, -(-m // 4)).view(np.uint8)[:m] < k)
+            pos += start
+            marked.append(pos)
+            marks += np.bincount(set_idx[pos], minlength=gf.N + 1)
+        if (marks >= test_counts).all():
+            break
+        k = min(256, 2 * k)
+    marked = np.concatenate(marked)
+    marked_set = set_idx[marked]
+    tested = []
+    for i, want in enumerate(test_counts.tolist()):
+        members = marked[marked_set == i]
+        tested.append(members[rng.choice(members.size, size=want, replace=False)])
+    tested = np.concatenate(tested)
+    del marked, marked_set
     owner = np.repeat(np.arange(gf.N + 1), test_counts)
-    ends = np.cumsum(block_sizes, axis=0)
-    starts = ends - block_sizes
-    blocks = [np.searchsorted(ends[:, i], r, side="right") for i, r in enumerate(picks)]
-    ranks = np.concatenate([r - starts[j, i] for i, (r, j) in enumerate(zip(picks, blocks))])
-    # picks grouped block by block (a small dtype argsorts by radix)
-    blocks = np.concatenate(blocks).astype(np.min_scalar_type(len(block_sizes)))
-    by_block = np.argsort(blocks, kind="stable")
-    bounds = np.searchsorted(blocks[by_block], np.arange(len(block_sizes) + 1))
-    errors = np.empty(ranks.size, dtype=bool)
-    a, kept = pool[0], 0
-    for j, start in enumerate(range(0, set_idx.size, _kernels.BLOCK)):
-        blk, m = slice(start, start + _kernels.BLOCK), min(_kernels.BLOCK, set_idx.size - start)
-        hit = by_block[bounds[j] : bounds[j + 1]]
+    e_hats = (np.bincount(owner, pool[0][tested] != 0, gf.N + 1) / test_counts).tolist()
+    tested.sort()
+    bounds = np.searchsorted(tested, np.arange(0, n + _kernels.BLOCK, _kernels.BLOCK))
+    kept = 0
+    for j, start in enumerate(range(0, n, _kernels.BLOCK)):
+        blk, m = slice(start, start + _kernels.BLOCK), min(_kernels.BLOCK, n - start)
+        hit = tested[bounds[j] : bounds[j + 1]] - start
         keep = slice(None)
         if hit.size:
-            # a stable argsort of the block lists its members set by set
-            first = np.cumsum(block_sizes[j]) - block_sizes[j]
-            pos = np.argsort(set_idx[blk], kind="stable")[first[owner[hit]] + ranks[hit]]
-            errors[hit] = a[blk][pos] != 0
             keep = np.ones(m, dtype=bool)
-            keep[pos] = False
+            keep[hit] = False
         for v in pool:
             v[kept : kept + m - hit.size] = v[blk][keep]
         kept += m - hit.size
-    e_hats = (np.bincount(owner, errors, gf.N + 1) / test_counts).tolist()
     est = qer_estimator(e_hats)
     reason = (f"estimated QER {est:.4f} exceeds threshold {abort_threshold:.4f}"
               if est > abort_threshold else None)
@@ -523,9 +559,8 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     n_sift = int(rng.binomial(config.L, 1.0 / (N + 1)))
     set_idx = _uint8_below(rng, N + 1, n_sift)
     s = _uint8_below(rng, N, n_sift)
-    a, b, block_sizes, sift_counts = sift(gf, params, set_idx,
-                                          sample_raw_labels(channel, gf, n_sift, rng))
-    set_sizes = block_sizes.sum(axis=0)
+    a, b, set_sizes, sift_counts = sift(gf, params, set_idx,
+                                        sample_raw_labels(channel, gf, n_sift, rng))
     spin_counts = sift_counts.reshape(N, N).sum(axis=1)
     sbmer = float((n_sift - spin_counts[0]) / n_sift) if n_sift else 0.0
     bits = gf.coeff_table.sum(axis=1)  # for p = 2, the bit count of each spin label
@@ -553,7 +588,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
         test_counts = np.floor(set_sizes * config.test_fraction).astype(int)
         test_counts = np.maximum(test_counts, 1)
     threshold = config.resolved_abort_threshold()
-    est = estimate_qer(gf, set_idx, block_sizes, (a, b, s), test_counts, threshold, rng)
+    est = estimate_qer(gf, set_idx, set_sizes, (a, b, s), test_counts, threshold, rng)
     report.e_hats = est.e_hats
     report.qer_estimate = est.qer_estimate
     if est.abort_reason is not None:

@@ -31,7 +31,8 @@ def test_thresholds_csv_matches_reference_table(tmp_path):
     out = tmp_path / "thr.csv"
     res = run_cli(["--output", str(out), "--format", "csv", "thresholds", "--p", "2", "--n", "1..4"])
     assert res.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     got = [(r["N"], r["sbmer_percent"], r["ber_percent"]) for r in rows]
     assert got == [
         ("2", "27.64", "27.64"),
@@ -130,29 +131,29 @@ def test_simulate_report_roundtrip(tmp_path):
 
 # (pec_r, ep_rounds, analytic_target_met, spin bound, phase bound) of each
 # trial of `simulate --p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4
-# --trials 20 --workers 2 --seed 5`, recorded from the implementation that
-# rebuilt the worst-case closed form for every candidate r
+# --trials 20 --workers 2 --seed 5`, recorded when test registers were
+# first picked by thinning
 PINNED_TRIAL_BOUNDS = [
-    (2129, 4, False, 6.699894131665834e-07, 2.6125767123844175),
-    (2129, 4, False, 8.5752497549067e-08, 1.8767998871860545),
-    (2129, 4, False, 8.150843818360223e-07, 2.6561942535374206),
-    (2129, 4, False, 2.008157521212733e-06, 2.8088022089057927),
-    (2129, 4, False, 1.5836326221524213e-07, 2.150966724982275),
-    (2129, 4, False, 2.609121467331196e-06, 2.840568341462654),
-    (2129, 4, False, 2.2073663340649367e-07, 2.280381442714556),
-    (2129, 4, False, 6.335144914694934e-07, 2.5993521184086177),
-    (2129, 4, False, 3.26004504700265e-07, 2.4144088752039576),
-    (2129, 4, False, 2.2653104469210888e-06, 2.8240303087998466),
-    (2129, 4, False, 1.294145891789678e-06, 2.743577660736929),
-    (2129, 4, False, 1.5999190629192876e-07, 2.155161486958848),
-    (2129, 4, False, 4.356256018034967e-07, 2.501631061728057),
-    (2129, 4, False, 4.4987769805797275e-07, 2.5106817106781634),
-    (2129, 4, False, 1.1273074636174367e-06, 2.7196444109779807),
-    (2129, 4, False, 1.4503164752695115e-06, 2.7620421982269336),
-    (2129, 4, False, 2.693788144042981e-07, 2.3512530477624445),
-    (2129, 4, False, 2.2290230949350305e-07, 2.2839741950949612),
-    (2129, 4, False, 1.6783129348026458e-07, 2.1746000479094025),
-    (2129, 4, False, 6.793837651073409e-07, 2.615812288941269),
+    (2129, 4, False, 7.519871485889701e-07, 2.638765821412148),
+    (2129, 4, False, 3.704478459631495e-07, 2.4541468060841716),
+    (2129, 4, False, 9.137442309448473e-07, 2.679749375138577),
+    (2129, 4, False, 1.3558228828374655e-06, 2.7512611411953296),
+    (2129, 4, False, 2.965785121140201e-07, 2.3836720891142953),
+    (2129, 4, False, 8.66551070290263e-07, 2.6689838496020424),
+    (2129, 4, False, 7.163377781367906e-07, 2.627925746893995),
+    (2129, 4, False, 1.4561682044535715e-06, 2.7626740854481753),
+    (2129, 4, False, 2.0917421876079463e-07, 2.260364293245277),
+    (2129, 4, False, 6.785615815609902e-07, 2.6155317545710575),
+    (2129, 4, False, 4.66034574750202e-07, 2.5204581597838995),
+    (2129, 4, False, 1.594885946267021e-06, 2.7765862423757968),
+    (2129, 4, False, 4.202943199247424e-07, 2.4914107789143074),
+    (2129, 4, False, 7.233479950279909e-07, 2.630119766638942),
+    (2129, 4, False, 2.952337629643013e-06, 2.853930150700235),
+    (2129, 4, False, 6.13352760899377e-07, 2.5915518398800597),
+    (2129, 4, False, 3.363937950458969e-07, 2.424352666352553),
+    (2129, 4, False, 5.371986475122026e-07, 2.5583351910178362),
+    (2129, 4, False, 1.9750778100761878e-06, 2.806618462332295),
+    (2129, 4, False, 1.5659547186055222e-07, 2.1463495084323956),
 ]
 
 
@@ -169,35 +170,35 @@ def test_trial_bounds_are_pinned(tmp_path):
 
 # md5 of json.dumps(result, sort_keys=True) and (pec_r, ep_rounds,
 # analytic_target_met) for one run down each repetition-count path, recorded
-# before the protocol stages were split out of run_protocol
+# when test registers were first picked by thinning; the noiseless report,
+# blind to which registers are tested, from before the protocol stages were
+# split out of run_protocol
 PINNED_REPORTS = {
     "first certified r": (
         "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-        "955b32301755418963abe7d091e1ff94", (53, 3, True)),
+        "0158a25ff23b6a5d7cb5b6ce4cfcc09a", (53, 3, True)),
     "explicit rounds, smallest bound": (
         "--p 2 --n 3 --L 2000000 --channel pauli-iid --qer 0.3 --ep-rounds 2 --seed 4",
-        "266eb022f9fdd8bf980458bae57dc9f9", (35, 2, None)),
+        "3cfc88570a8df543e17c5d324c8d5c11", (35, 2, None)),
     "explicit r": (
         "--p 2 --n 2 --L 2000000 --channel intercept-resend --q 0.2 --pec-r 7 --seed 4",
-        "23499dea35cae2764d7c78fd65181896", (7, 4, None)),
+        "62db30a7a4e31153c7b710f39fcb05a7", (7, 4, None)),
     "odd p, bound-free r": (
         "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "07a463f5995e5b65984c2db992934e49", (53, 4, None)),
+        "324c8793cb5875959ba3049089a9f9c9", (53, 4, None)),
     "odd p, multi-block": (  # 799,771 sifted registers: several pool blocks
         "--p 3 --n 2 --L 8000000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "79210047bed9604a34d24a2a47151e2c", (205, 4, None)),
+        "b87327116d17c237d672e023849a3a15", (205, 4, None)),
     "automatic, smallest bound": (
         "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
-        "f39707c7811555b6a1493949169b7cd7", (2129, 4, False)),
-    # 256 flat labels in uint8, two pool blocks; recorded while raw labels
-    # were still drawn by Generator.choice
+        "3414e25af79499c8430190f872fbeb8f", (2129, 4, False)),
+    # 256 flat labels in uint8, two pool blocks
     "N = 16 pauli-iid": (
         "--p 2 --n 4 --L 3000000 --channel pauli-iid --qer 0.1 --seed 3",
-        "abd9296678f97cb0e64d687dce8e4a1c", (53, 3, True)),
-    # recorded while each channel name was a ChannelModel kind of its own
+        "cf885679d24dd1cbab89b9d2415eaaf4", (53, 3, True)),
     "grouped attack": (
         "--p 2 --n 3 --L 2000000 --channel grouped-attack --q 0.3 --seed 6",
-        "ec66942880eb529620cf3e50ff63da1b", (185, 3, True)),
+        "2f1b5e7907da9435ef7887775c20ab41", (123, 3, True)),
     "noiseless": (
         "--p 2 --n 3 --L 500000 --channel noiseless --seed 2",
         "134ffd1470fcd33f38c4755bdca0648c", (35, 2, True)),
@@ -288,10 +289,10 @@ def test_t_reports_are_pinned(capsys, p, n):
 
 
 # md5 of one whole simulate stdout, config and field included, recorded
-# while the config was written out key by key
+# when test registers were first picked by thinning
 PINNED_SIMULATE_STDOUT = (
     "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-    "283272312ff042a3ad92873240260de4")
+    "063c063e6573ab2e9f005b9e9d717325")
 
 
 def test_whole_simulate_stdout_is_pinned(capsys):
@@ -312,7 +313,7 @@ def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     res = json.loads(out.read_text())["result"]
     assert res["analytic_target_met"] is None
     assert res["analytic_spin_bound"] is None and res["analytic_phase_bound"] is None
-    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22296, 11123, 5561, 2780]
+    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22324, 11129, 5564, 2782]
     assert res["pec_r"] == 53 and res["key_length"] == 52 and res["keys_match"]
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, f, norm
 
 from conftest import PRIME_POWERS, cached_params, cached_partition
 from quditqkd import _kernels, cli, protocol
@@ -22,7 +22,7 @@ from quditqkd.protocol import (
     sample_raw_labels,
     sift,
 )
-from quditqkd.rates import ErrorDistribution, ep_step, worst_case_distribution
+from quditqkd.rates import ErrorDistribution, ep_step, qer_estimator, worst_case_distribution
 from quditqkd.toperator import conjugation_tables
 
 
@@ -84,12 +84,11 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
     set_idx = rng.integers(0, N + 1, size=n_sift, dtype=np.uint8)
     rng.integers(0, N, size=n_sift, dtype=np.uint8)  # Alice's key digits, drawn before the labels
     lab = sample_raw_labels(ch, gf, n_sift, rng)
-    eff_a, eff_b, block_sizes, counts = sift(gf, params, set_idx, lab.copy())  # a overwrites it
+    eff_a, eff_b, set_sizes, counts = sift(gf, params, set_idx, lab.copy())  # a overwrites it
     ca, cb = conjugation_tables(gf, params)
     assert (eff_a == ca[set_idx, lab // N, lab % N]).all()
     assert (eff_b == cb[set_idx, lab // N, lab % N]).all()
     assert rep.n_sifted == n_sift
-    set_sizes = block_sizes.sum(axis=0)
     assert rep.set_sizes == set_sizes.tolist() == np.bincount(set_idx, minlength=N + 1).tolist()
     want = np.bincount(eff_a.astype(int) * N + eff_b, minlength=N * N)
     assert rep.post_sift_label_counts == counts.tolist() == want.tolist()
@@ -314,8 +313,8 @@ def test_sift_all_matching_powers():
     n = 1000
     powers = np.full(n, 2, dtype=np.uint8)
     raw = np.zeros(n, dtype=np.uint8)
-    eff_a, eff_b, block_sizes, _ = sift(gf, params, powers, raw * gf.N + raw)
-    assert eff_a.size == n and block_sizes.sum(axis=0).tolist() == [0, 0, n]
+    eff_a, eff_b, set_sizes, _ = sift(gf, params, powers, raw * gf.N + raw)
+    assert eff_a.size == n and set_sizes.tolist() == [0, 0, n]
     assert not eff_a.any() and not eff_b.any()
 
 
@@ -367,15 +366,23 @@ def test_sift_conjugates_labels():
 # ---------------------------------------------------------------
 
 def estimate_reference(set_idx, eff_a, test_counts, rng):
-    """One flatnonzero scan per set: the locator the block-wise one replaced."""
+    """The thinning rule with one flatnonzero scan per set: the marks from one
+    8-bit draw over the whole pool, redrawn at twice the level while a set
+    falls short, then the same choices.  Also returns the final level."""
+    k = protocol._thinning_level(np.bincount(set_idx, minlength=test_counts.size), test_counts)
+    while True:
+        marked = rng.integers(0, 256, set_idx.size, dtype=np.uint8) < k
+        members = [np.flatnonzero(marked & (set_idx == i)) for i in range(test_counts.size)]
+        if all(m.size >= want for m, want in zip(members, test_counts)):
+            break
+        k = min(256, 2 * k)
     tested = np.zeros(set_idx.size, dtype=bool)
     e_hats = []
-    for i, want in enumerate(test_counts):
-        members = np.flatnonzero(set_idx == i)
-        chosen = members[rng.choice(members.size, size=want, replace=False)]
+    for m, want in zip(members, test_counts):
+        chosen = m[rng.choice(m.size, size=want, replace=False)]
         tested[chosen] = True
         e_hats.append(float((eff_a[chosen] != 0).mean()))
-    return tested, e_hats
+    return tested, e_hats, k
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1 << 18])
@@ -384,25 +391,116 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
     rng = np.random.default_rng(21)
     n = 1_000
     set_idx = rng.integers(0, 5, n, dtype=np.uint8)
-    # set 2 is tested whole and sits on both sides of every block edge
-    # (and at both ends of the pool) for blocks of 7 and 64
+    # set 2 sits on both sides of every block edge (and at both ends of the
+    # pool) for blocks of 7 and 64
     k = np.arange(n)
     set_idx[np.isin(k % 7, (0, 6)) | np.isin(k % 64, (0, 63)) | (k == n - 1)] = 2
     eff_a = rng.integers(0, 4, n, dtype=np.uint8)
-    pool = (eff_a, *rng.integers(0, 4, (2, n), dtype=np.uint8))  # (a, b, s)
-    want_pool = [v.copy() for v in pool]
     sizes = np.bincount(set_idx, minlength=5)
-    test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
-    block_sizes = np.array([np.bincount(set_idx[i : i + block], minlength=5)
-                            for i in range(0, n, block)])
     monkeypatch.setattr(_kernels, "BLOCK", block)
-    tested, e_hats = estimate_reference(set_idx, eff_a, test_counts, np.random.default_rng(5))
-    est = estimate_qer(gf, set_idx, block_sizes, pool, test_counts, 0.9, np.random.default_rng(5))
-    assert est.kept == n - test_counts.sum()
-    for v, want in zip(pool, want_pool):
-        assert (v[: est.kept] == want[~tested]).all()
-    assert est.e_hats == e_hats
-    assert tested[[0, 6, 7, 63, 64, n - 1]].all()
+    for case in ("edges", "thin", "redraw"):
+        pool = (eff_a.copy(), *rng.integers(0, 4, (2, n), dtype=np.uint8))  # (a, b, s)
+        want_pool = [v.copy() for v in pool]
+        if case == "edges":  # set 2 is tested whole and set 4 all but one: all are marked
+            test_counts = np.array([30, 1, sizes[2], 50, sizes[4] - 1])
+        else:  # each set's mean mark count is near its test count without a margin
+            test_counts = sizes // 16
+        with monkeypatch.context() as mp:
+            if case == "redraw":  # no margin: some set falls short of its test count
+                mp.setattr(protocol, "_SHORT_LOG", 0.0)
+            first = protocol._thinning_level(sizes, test_counts)
+            tested, e_hats, last = estimate_reference(set_idx, eff_a, test_counts,
+                                                      np.random.default_rng(5))
+            est = estimate_qer(gf, set_idx, sizes, pool, test_counts, 0.9, np.random.default_rng(5))
+        assert est.kept == n - test_counts.sum()
+        for v, want in zip(pool, want_pool):
+            assert (v[: est.kept] == want[~tested]).all(), case
+        assert est.e_hats == e_hats, case
+        assert {"edges": first == last == 256, "thin": first == last < 256,
+                "redraw": first < last}[case]
+        if case == "edges":
+            assert tested[[0, 6, 7, 63, 64, n - 1]].all()
+
+
+@pytest.mark.parametrize("margin", [None, 0.0], ids=["first-draw", "redraw"])
+def test_tested_registers_are_uniform_within_each_set(monkeypatch, margin):
+    """Over 2000 seeds, each set's tested registers are spread evenly over its
+    members in pool order, in 50 bins of ranks: the chi-square statistic over
+    the three sets, scaled for sampling without replacement, stays below its
+    0.999 quantile.  Without a margin, a good share of the seeds redraw."""
+    gf, _ = cached_params(2, 1)
+    n, bins, seeds = 3_000, 50, 2_000
+    set_idx = np.random.default_rng(31).integers(0, 3, n, dtype=np.uint8)
+    sizes = np.bincount(set_idx, minlength=3)
+    test_counts = np.array([1, 8, 30])
+    if margin is not None:
+        monkeypatch.setattr(protocol, "_SHORT_LOG", margin)
+    draws, raw_u32 = [], protocol._raw_u32
+    monkeypatch.setattr(protocol, "_raw_u32", lambda rng, k: draws.append(k) or raw_u32(rng, k))
+    hits = np.zeros(n, np.intp)
+    for seed in range(seeds):
+        pool = (np.zeros(n, np.uint8), np.zeros(n, np.uint8), np.arange(n))
+        est = estimate_qer(gf, set_idx, sizes, pool, test_counts, 0.9, np.random.default_rng(seed))
+        hits += 1
+        hits[pool[2][: est.kept]] -= 1
+    stat = 0.0
+    for i, (size, want) in enumerate(zip(sizes, test_counts)):
+        rank_bin = np.arange(size) * bins // size
+        got = np.bincount(rank_bin, hits[set_idx == i], bins)
+        expect = seeds * want * np.bincount(rank_bin, minlength=bins) / size
+        stat += ((got - expect) ** 2 / expect).sum() * (size - 1) / (size - want)
+    assert stat < chi2.ppf(0.999, 3 * (bins - 1))
+    redrawn = len(draws) - seeds  # one 32-bit draw per attempt: the pool is one chunk
+    assert redrawn == 0 if margin is None else redrawn > seeds // 5
+
+
+def rank_sampler(gf, set_idx, set_sizes, pool, test_counts, abort_threshold, rng):
+    """The sampler thinning replaced, as the reference for its law:
+    rng.choice ranks among all the members of each set, located by one
+    flatnonzero scan per set.  It never aborts, so its callers' runs must
+    not."""
+    tested = np.zeros(set_idx.size, dtype=bool)
+    e_hats = []
+    for i, (size, want) in enumerate(zip(set_sizes, test_counts)):
+        chosen = np.flatnonzero(set_idx == i)[rng.choice(size, size=want, replace=False)]
+        tested[chosen] = True
+        e_hats.append(float((pool[0][chosen] != 0).mean()))
+    kept = set_idx.size - int(tested.sum())
+    for v in pool:
+        v[:kept] = v[~tested]
+    return protocol.EstimateResult(e_hats, qer_estimator(e_hats), None, kept)
+
+
+def test_thinning_has_the_rank_samplers_law(monkeypatch):
+    """1000 seeds of one N = 4 worst-case run, each with both samplers on the
+    same sifted pool: the paired differences of the five e_hats have
+    chi-square (5 df) below its 0.999 quantile and the round-1 survivors'
+    |z| < 3.29; each variance ratio lies inside the F test's two-sided 0.999
+    interval (per e_hat, split over the five sets)."""
+    gf, _ = cached_params(2, 2)
+    ch = worst_case_channel(gf, 0.6)
+    cfg = make_config(2, 2, L=20_000, rng_seed=0, test_fraction=0.05, abort_threshold=0.99,
+                      ep_rounds=1, pec_r=1)
+    seeds = 1_000
+    sides = []
+    for sampler in (protocol.estimate_qer, rank_sampler):
+        monkeypatch.setattr(protocol, "estimate_qer", sampler)
+        reps = [run_protocol(replace(cfg, rng_seed=seed), ch) for seed in range(seeds)]
+        assert not any(r.aborted for r in reps)
+        sides.append((np.array([r.e_hats for r in reps]),
+                      np.array([r.survivors_per_round[0] for r in reps], float)))
+    (e_new, surv_new), (e_old, surv_old) = sides
+    d = e_new - e_old
+    z = d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(seeds))
+    assert (z**2).sum() < chi2.ppf(0.999, 5)
+    d = surv_new - surv_old
+    assert abs(d.mean() / (d.std(ddof=1) / np.sqrt(seeds))) < norm.ppf(0.9995)
+    tail = 0.001 / 2 / 5
+    ratio = e_new.var(axis=0, ddof=1) / e_old.var(axis=0, ddof=1)
+    assert (f.ppf(tail, seeds - 1, seeds - 1) < ratio).all()
+    assert (ratio < f.ppf(1 - tail, seeds - 1, seeds - 1)).all()
+    ratio = surv_new.var(ddof=1) / surv_old.var(ddof=1)
+    assert f.ppf(0.0005, seeds - 1, seeds - 1) < ratio < f.ppf(0.9995, seeds - 1, seeds - 1)
 
 
 def test_undersized_set_aborts_the_run():
@@ -422,18 +520,20 @@ def test_exhausted_pool_reports_the_rounds_run():
                       abort_threshold=0.9, ep_rounds=4)
     rep = run_protocol(cfg, ChannelModel(q=0.5))
     assert rep.aborted and rep.abort_reason == "register pool exhausted during purification"
-    assert rep.survivors_per_round == [3, 1]
-    assert rep.ep_rounds == 2
+    assert rep.survivors_per_round == [4, 2, 1]
+    assert rep.ep_rounds == 3
 
 
 # Pre-purification fields of two fixed-seed runs, recorded from the
-# implementation that shuffled the pool and scanned it once per set.
+# implementation that shuffled the pool and scanned it once per set; e_hats
+# and qer_estimate, which read the tested registers, when those were first
+# picked by thinning.
 PINNED_PRE_EP = [
     (dict(p=2, n=2, L=100_000, rng_seed=1234, test_fraction=0.01, ep_rounds=1, pec_r=5),
      ("pauli-iid", 0.8),
      {"n_sifted": 20084, "set_sizes": [3990, 3937, 4057, 4059, 4041],
-      "e_hats": [0.28205128205128205, 0.07692307692307693, 0.15, 0.1, 0.2],
-      "qer_estimate": 0.20224358974358975, "empirical_sbmer": 0.15509858593905596,
+      "e_hats": [0.1282051282051282, 0.20512820512820512, 0.1, 0.05, 0.15],
+      "qer_estimate": 0.15833333333333333, "empirical_sbmer": 0.15509858593905596,
       "empirical_ber": 0.07754929296952798,
       "post_sift_label_counts": [16188, 781, 0, 0, 779, 0, 806, 0, 0, 787, 743, 0, 0, 0, 0, 0]}),
     (dict(p=2, n=3, L=300_000, rng_seed=99, test_fraction=None, test_count=40, ep_rounds=2,
@@ -441,8 +541,8 @@ PINNED_PRE_EP = [
      ("grouped-qubit-attack", 0.3),
      {"n_sifted": 33373,
       "set_sizes": [3636, 3682, 3815, 3689, 3733, 3656, 3807, 3657, 3698],
-      "e_hats": [0.0, 0.35, 0.225, 0.325, 0.275, 0.225, 0.4, 0.15, 0.225],
-      "qer_estimate": 0.271875, "empirical_sbmer": 0.23282294070056633,
+      "e_hats": [0.0, 0.3, 0.3, 0.275, 0.275, 0.375, 0.275, 0.175, 0.25],
+      "qer_estimate": 0.27812499999999996, "empirical_sbmer": 0.23282294070056633,
       "empirical_ber": 0.13376082461870373,
       "post_sift_label_counts": [
           24622, 152, 129, 132, 147, 141, 147, 133, 133, 157, 127, 126, 137, 141, 124, 132,
@@ -671,15 +771,16 @@ def test_multi_block_report_is_pinned():
     # the pinned CLI reports fit in one or two blocks at N <= 8
     rep = run_protocol(n16_grouped_attack_config(), ChannelModel(q=0.84))
     assert rep.n_sifted > 3 * _kernels.BLOCK
-    assert rep.survivors_per_round == [45208, 9675, 4623, 2310] and rep.key_length == 92
+    assert rep.survivors_per_round == [45212, 9610, 4602, 2301] and rep.key_length == 92
     digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "6bfa8726ec314d90e0c6a61387e2fd09"
+    assert digest == "12f68c39749e643b30af718651947069"
 
 
 def test_peak_memory_per_sifted_register():
-    # traced (NumPy-reported) peak of one N=16 grouped-attack run: 5.71 B with
+    # traced (NumPy-reported) peak of one N=16 grouped-attack run: 5.97 B with
     # four pool-sized byte arrays (set index, then Bob's value; Alice's value;
-    # raw label, then a; b), 6.41 B when sift wrote a to an array of its own
+    # raw label, then a; b), run alone; 0.7 B more when sift wrote a to an
+    # array of its own
     cfg = n16_grouped_attack_config()
     tracemalloc.start()
     try:
@@ -708,8 +809,8 @@ def _traced_peak(L):
 def test_peak_memory_slope_per_sifted_register():
     # the difference of two pool sizes cancels the fixed per-block buffers;
     # four pool-sized byte arrays remain (set index, then Bob's value; Alice's
-    # value; raw label, then a; b) and, with testing's picks, which grow with
-    # L too, read 4.25 B; a fifth, as when sift wrote a to its own, reads 5.00 B
+    # value; raw label, then a; b) and read 4.00 B, run alone; a fifth, as when
+    # sift wrote a to its own, reads 5.00 B
     peak1, n1 = _traced_peak(15_000_000)
     peak2, n2 = _traced_peak(30_000_000)
     assert (peak2 - peak1) / (n2 - n1) <= 4.75
