@@ -21,13 +21,14 @@ Generator.integers(..., dtype=np.uint8), vectorised over the 32-bit
 halves of the bit generator's raw 64-bit outputs (_raw_u32).  It gives
 the same variates and leaves the generator in the same state, so reports
 for a fixed seed are byte-identical to drawing them with
-Generator.integers.  The twirl's measured mask compares each block's
-doubles, drawn into one reused buffer, with q in place in the label
-array.  Likewise an explicit law's raw labels come from _categorical:
-Generator.choice's inverse-CDF map, applied to the same doubles, with a
-bucket table answering most of them without choice's binary search; the
-labels and the generator state afterwards are choice's, so reports stay
-byte-identical to drawing them with Generator.choice.
+Generator.integers.  The twirl's measured mask comes from generator
+bytes too, by an exact rule that draws a double only where a byte
+leaves the outcome open (sample_raw_labels gives its law).  An explicit
+law's raw labels come from _categorical: Generator.choice's inverse-CDF
+map, applied to the same doubles, with a bucket table answering most of
+them without choice's binary search; the labels and the generator state
+afterwards are choice's, so reports stay byte-identical to drawing them
+with Generator.choice.
 
 run_protocol calls the stages in order, on plain arrays; the first four
 walk the pool a block of registers at a time.  sample_raw_labels draws the
@@ -205,20 +206,34 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np
 def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.Generator):
     """Raw (pre-sift) error labels (a, b) of *count* particles, as the flat
     label a*N + b in the smallest unsigned dtype that holds N*N - 1.  The
-    caller validates the channel."""
+    caller validates the channel.
+
+    The twirl measures a register when its generator byte is below
+    t = floor(256 q) or, for the 1/256 whose byte equals t, when one
+    rng.random double, drawn after the block loop in pool order (so the
+    stream does not depend on _kernels.BLOCK), is below 256 q - t, which is
+    exact (Sterbenz).  P(measured) is ceil(q 2^61) / 2^61, where
+    rng.random(count) < q gives ceil(q 2^53) / 2^53: they differ by less
+    than 2^-53, and are equal for q >= 1/2.  The measured registers then
+    take the uniform phase c from _uint8_below.
+    """
     N = gf.N
     dtype = np.min_scalar_type(N * N - 1)
     if channel.label_rates is not None:
         p = channel.label_rates.ravel() / channel.label_rates.ravel().sum()
         return _categorical(rng, p, np.empty(count, dtype))
     # measurement twirl: raw label (0, c), c uniform over GF(N)
+    t = math.floor(256 * channel.q)
     out = np.empty(count, dtype)
-    # each block's doubles, as rng.random(count) draws them
-    u = np.empty(min(_kernels.BLOCK, count))
-    for start in range(0, count, _kernels.BLOCK):
-        blk = out[start : start + _kernels.BLOCK]
-        ub = rng.random(out=u[: blk.size])
-        np.less(ub, channel.q, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
+    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per block
+    ties = [np.empty(0, np.intp)]
+    for start in range(0, count, step):
+        blk = out[start : start + step]
+        byte = _raw_u32(rng, -(-blk.size // 4)).view(np.uint8)[: blk.size]
+        np.less(byte, t, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
+        ties.append(np.flatnonzero(byte == t) + start)
+    ties = np.concatenate(ties)
+    out[ties] = rng.random(ties.size) < 256 * channel.q - t
     out *= _uint8_below(rng, N, count)
     return out
 
@@ -659,9 +674,12 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 def run_trials(config: ProtocolConfig, channel: ChannelModel, trials: int,
                workers: int = 1) -> list[SimReport]:
     """Independent protocol trials with per-trial derived seeds, on at most
-    one thread per CPU, since each thread holds a live pool."""
+    one thread per CPU this process may run on, since each thread holds a
+    live pool."""
     configs = [replace(config, rng_seed=trial_seed(config.rng_seed, i)) for i in range(trials)]
-    workers = min(workers, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, cpus)
     if workers <= 1:
         return [run_protocol(c, channel) for c in configs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

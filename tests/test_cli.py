@@ -169,20 +169,22 @@ def test_trial_bounds_are_pinned(tmp_path):
 
 
 # md5 of json.dumps(result, sort_keys=True) and (pec_r, ep_rounds,
-# analytic_target_met) for one run down each repetition-count path, recorded
-# when test registers were first picked by thinning; the noiseless report,
-# blind to which registers are tested, from before the protocol stages were
-# split out of run_protocol
+# analytic_target_met) for one run down each repetition-count path: the
+# twirl channels' (per-qubit attack, intercept-resend, grouped attack)
+# recorded when the twirl's mask was first drawn from generator bytes,
+# pauli-iid's when test registers were first picked by thinning; the
+# noiseless report, blind to which registers are tested, from before the
+# protocol stages were split out of run_protocol
 PINNED_REPORTS = {
     "first certified r": (
         "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-        "0158a25ff23b6a5d7cb5b6ce4cfcc09a", (53, 3, True)),
+        "cd638186df90ccbbc4c462b3086cd88f", (53, 3, True)),
     "explicit rounds, smallest bound": (
         "--p 2 --n 3 --L 2000000 --channel pauli-iid --qer 0.3 --ep-rounds 2 --seed 4",
         "3cfc88570a8df543e17c5d324c8d5c11", (35, 2, None)),
     "explicit r": (
         "--p 2 --n 2 --L 2000000 --channel intercept-resend --q 0.2 --pec-r 7 --seed 4",
-        "62db30a7a4e31153c7b710f39fcb05a7", (7, 4, None)),
+        "b9092f29e7cec1abff0d830bcbafc62f", (7, 4, None)),
     "odd p, bound-free r": (
         "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
         "324c8793cb5875959ba3049089a9f9c9", (53, 4, None)),
@@ -198,7 +200,7 @@ PINNED_REPORTS = {
         "cf885679d24dd1cbab89b9d2415eaaf4", (53, 3, True)),
     "grouped attack": (
         "--p 2 --n 3 --L 2000000 --channel grouped-attack --q 0.3 --seed 6",
-        "2f1b5e7907da9435ef7887775c20ab41", (123, 3, True)),
+        "db1201b113b7988abd9e98c33ee5990a", (185, 3, True)),
     "noiseless": (
         "--p 2 --n 3 --L 500000 --channel noiseless --seed 2",
         "134ffd1470fcd33f38c4755bdca0648c", (35, 2, True)),
@@ -289,10 +291,10 @@ def test_t_reports_are_pinned(capsys, p, n):
 
 
 # md5 of one whole simulate stdout, config and field included, recorded
-# when test registers were first picked by thinning
+# when the twirl's mask was first drawn from generator bytes
 PINNED_SIMULATE_STDOUT = (
     "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-    "063c063e6573ab2e9f005b9e9d717325")
+    "49d9b2651fb91dfd57b1bef9e4fa10ea")
 
 
 def test_whole_simulate_stdout_is_pinned(capsys):

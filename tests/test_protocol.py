@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,14 +200,29 @@ def test_uint8_below_from_a_buffered_half(count):
 # twirl labels
 # ---------------------------------------------------------------
 
+def twirl_reference(rng, q, N, count):
+    """The twirl's rule over the whole array: one generator byte per
+    register, measured below t = floor(256 q); then one double per byte
+    equal to t, in pool order, measured below 256 q - t; then the phase."""
+    t = math.floor(256 * q)
+    byte = rng.integers(0, 2**32, size=-(-count // 4), dtype=np.uint32).astype("<u4")
+    byte = byte.view(np.uint8)[:count]
+    measured = byte < t
+    tie = np.flatnonzero(byte == t)
+    measured[tie] = rng.random(tie.size) < 256 * q - t
+    return measured * rng.integers(0, N, count, dtype=np.uint8)
+
+
+TWIRL_Q = (0.0, 2**-60, 1 / 3, 0.84, 1 - 2**-40, 1.0)
+
+
 def _check_twirl(N, count):
     gf = make_field(2, N.bit_length() - 1)
     dtype = np.min_scalar_type(N * N - 1)  # uint16 at N = 32
-    for q in (0.0, 0.84, 1.0):
+    for q in TWIRL_Q:
         mine, ref = np.random.default_rng((N, count)), np.random.default_rng((N, count))
         got = sample_raw_labels(ChannelModel(q=q), gf, count, mine)
-        mask = ref.random(count) < q
-        want = (mask * ref.integers(0, N, count, dtype=np.uint8)).astype(dtype)
+        want = twirl_reference(ref, q, N, count)
         assert got.dtype == dtype and np.array_equal(got, want), q
         assert mine.bit_generator.state == ref.bit_generator.state, q
         assert mine.random() == ref.random()
@@ -214,7 +231,7 @@ def _check_twirl(N, count):
 @pytest.mark.parametrize("N", [2, 16, 32])
 @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 1])
 def test_twirl_labels_match_reference_bit_for_bit(N, count):
-    # the in-place mask: rng.random's doubles below q, times the uniform phase
+    # the same labels as the whole-array rule, and the generator left where it is
     _check_twirl(N, count)
 
 
@@ -222,6 +239,60 @@ def test_twirl_labels_match_reference_bit_for_bit(N, count):
 def test_twirl_labels_are_blind_to_the_block_size(monkeypatch, N):
     monkeypatch.setattr(_kernels, "BLOCK", 7)
     _check_twirl(N, 1001)
+
+
+@pytest.mark.parametrize("q", [0.0, 2**-61, 2**-60, 1e-9, 0.1, 1 / 3, 0.5, 0.84, 1 - 2**-40,
+                               1 - 2**-53, 1.0])
+def test_twirl_measures_with_probability_q_on_the_2_61_grid(monkeypatch, q):
+    """Every byte value once, each tie given the double k / 2^53: the code's
+    P(measured), averaged exactly over all 256 bytes and all 2^53 doubles
+    (the measured count is a step in k, found by bisection), is
+    ceil(q 2^61) / 2^61."""
+    gf = make_field(2, 1)
+
+    def measured(k):
+        words = iter([np.arange(256, dtype=np.uint8).view("<u4"),  # the mask's bytes
+                      np.full(64, 2**32 - 1, "<u4")])  # phase 1 everywhere: the label is the mask
+        monkeypatch.setattr(protocol, "_raw_u32", lambda rng, n: next(words))
+
+        class Doubles:
+            def random(self, n):
+                return np.full(n, k / 2**53)
+
+        return int(sample_raw_labels(ChannelModel(q=q), gf, 256, Doubles()).sum())
+
+    always, most = measured(2**53 - 1), measured(0)
+    assert most - always in (0, 1)  # at most one byte is a tie
+    lo, hi = 0, 2**53  # the doubles that measure the tie are k < hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if measured(mid) > always else (lo, mid)
+    p = Fraction(always, 256) + Fraction((most - always) * hi, 256 * 2**53)
+    assert p == Fraction(math.ceil(Fraction(q) * 2**61), 2**61)
+    if q >= 0.5:  # the rule of rng.random(count) < q
+        assert p == Fraction(math.ceil(Fraction(q) * 2**53), 2**53) == q
+
+
+def test_twirl_law_chi_square(monkeypatch):
+    """Independent runs at N = 2, 16, 32 and q = 0.01, 1/3, 0.84: the
+    measured count (phase fixed to 1, so the label is the mask) and the
+    label histogram; the summed chi-square stays below its 0.999 quantile."""
+    count, stat, df = 1_000_000, 0.0, 0
+    for N in (2, 16, 32):
+        gf = make_field(2, N.bit_length() - 1)
+        for q in (0.01, 1 / 3, 0.84):
+            seed = (N, round(q * 100))  # one stream for the labels, another for the mask
+            lab = sample_raw_labels(ChannelModel(q=q), gf, count, np.random.default_rng((*seed, 0)))
+            want = np.full(N, count * q / N)
+            want[0] += count * (1 - q)
+            stat += float(((np.bincount(lab, minlength=N) - want) ** 2 / want).sum())
+            with monkeypatch.context() as m:
+                m.setattr(protocol, "_uint8_below", lambda rng, R, n: np.ones(n, np.uint8))
+                hits = int(sample_raw_labels(ChannelModel(q=q), gf, count,
+                                             np.random.default_rng((*seed, 1))).sum())
+            stat += (hits - count * q) ** 2 / (count * q * (1 - q))
+            df += N
+    assert stat < chi2.ppf(0.999, df)
 
 
 # ---------------------------------------------------------------
@@ -520,14 +591,15 @@ def test_exhausted_pool_reports_the_rounds_run():
                       abort_threshold=0.9, ep_rounds=4)
     rep = run_protocol(cfg, ChannelModel(q=0.5))
     assert rep.aborted and rep.abort_reason == "register pool exhausted during purification"
-    assert rep.survivors_per_round == [4, 2, 1]
-    assert rep.ep_rounds == 3
+    assert rep.survivors_per_round == [4, 1]
+    assert rep.ep_rounds == 2
 
 
-# Pre-purification fields of two fixed-seed runs, recorded from the
-# implementation that shuffled the pool and scanned it once per set; e_hats
-# and qer_estimate, which read the tested registers, when those were first
-# picked by thinning.
+# Pre-purification fields of two fixed-seed runs: n_sifted and set_sizes
+# recorded from the implementation that shuffled the pool and scanned it
+# once per set; the fields that read the raw labels when the tested
+# registers were first picked by thinning (pauli-iid) and when the twirl's
+# mask was first drawn from generator bytes (grouped qubit attack).
 PINNED_PRE_EP = [
     (dict(p=2, n=2, L=100_000, rng_seed=1234, test_fraction=0.01, ep_rounds=1, pec_r=5),
      ("pauli-iid", 0.8),
@@ -541,14 +613,14 @@ PINNED_PRE_EP = [
      ("grouped-qubit-attack", 0.3),
      {"n_sifted": 33373,
       "set_sizes": [3636, 3682, 3815, 3689, 3733, 3656, 3807, 3657, 3698],
-      "e_hats": [0.0, 0.3, 0.3, 0.275, 0.275, 0.375, 0.275, 0.175, 0.25],
-      "qer_estimate": 0.27812499999999996, "empirical_sbmer": 0.23282294070056633,
+      "e_hats": [0.0, 0.25, 0.225, 0.275, 0.35, 0.275, 0.25, 0.375, 0.375],
+      "qer_estimate": 0.296875, "empirical_sbmer": 0.23312258412489137,
       "empirical_ber": 0.13376082461870373,
       "post_sift_label_counts": [
-          24622, 152, 129, 132, 147, 141, 147, 133, 133, 157, 127, 126, 137, 141, 124, 132,
-          142, 110, 150, 135, 155, 146, 132, 132, 134, 132, 148, 137, 130, 156, 140, 133,
-          122, 140, 140, 143, 130, 135, 143, 138, 140, 127, 140, 143, 147, 131, 136, 131,
-          119, 146, 155, 142, 165, 148, 147, 151, 133, 149, 150, 142, 140, 124, 140, 144]}),
+          24633, 141, 137, 135, 130, 141, 124, 152, 131, 154, 139, 127, 145, 130, 128, 136,
+          163, 143, 146, 147, 114, 113, 128, 125, 133, 133, 171, 128, 143, 132, 151, 130,
+          133, 124, 134, 146, 134, 137, 154, 140, 151, 166, 140, 152, 132, 148, 164, 160,
+          150, 131, 143, 138, 118, 131, 127, 134, 146, 114, 146, 141, 137, 171, 121, 127]}),
 ]
 
 
@@ -771,9 +843,9 @@ def test_multi_block_report_is_pinned():
     # the pinned CLI reports fit in one or two blocks at N <= 8
     rep = run_protocol(n16_grouped_attack_config(), ChannelModel(q=0.84))
     assert rep.n_sifted > 3 * _kernels.BLOCK
-    assert rep.survivors_per_round == [45212, 9610, 4602, 2301] and rep.key_length == 92
+    assert rep.survivors_per_round == [44856, 9590, 4595, 2297] and rep.key_length == 91
     digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "12f68c39749e643b30af718651947069"
+    assert digest == "e06a75812c104fa6bea8dbe614406c39"
 
 
 def test_peak_memory_per_sifted_register():
@@ -931,12 +1003,21 @@ def test_run_trials_caps_threads_at_cpu_count(monkeypatch):
     monkeypatch.setattr(protocol, "ThreadPoolExecutor", Recorder)
     cfg = make_config(2, 1, L=30_000)
     serial = run_trials(cfg, ChannelModel(), 3, workers=1)
+    # the CPUs this process may run on, not the host's
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pinned = run_trials(cfg, ChannelModel(), 3, workers=10_000)
+    monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    three = run_trials(cfg, ChannelModel(), 3, workers=10_000)
+    # without an affinity call, the host's count
+    monkeypatch.delattr(protocol.os, "sched_getaffinity")
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     capped = run_trials(cfg, ChannelModel(), 3, workers=10_000)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
     unknown = run_trials(cfg, ChannelModel(), 3, workers=10_000)
-    assert seen == [2]  # None counts as one CPU: no pool at all
-    assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial] == [r.to_dict() for r in unknown]
+    assert seen == [3, 2]  # one CPU, or None counted as one: no pool at all
+    runs = [serial, pinned, three, capped, unknown]
+    assert all([r.to_dict() for r in run] == [r.to_dict() for r in serial] for run in runs)
 
 
 # ---------------------------------------------------------------
