@@ -97,8 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # every option with a value when neither argv nor the config file gives one;
-# the rest default to None
-_DEFAULTS = {"format": "json", "n": "1", "delta": 0.01, "epsilon_i": 0.01, "ep_rounds_max": 4,
+# the rest default to None; simulate's numeric ones are ProtocolConfig's own
+_DEFAULTS = {"format": "json", "n": "1", "delta": ProtocolConfig.delta,
+             "epsilon_i": ProtocolConfig.epsilon_i, "ep_rounds_max": ProtocolConfig.ep_rounds_max,
              "trials": 1, "workers": 4}
 
 # argparse is not told: a config file may supply these (see _resolve_options)

@@ -68,7 +68,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import ConfigError, InvariantViolation
 from .fields import GF
-from .rates import (ErrorDistribution, ep_closed_form, pec_bound_terms, qer_estimator, thresholds,
+from .rates import (PecBoundTerms, ep_closed_form, pec_bound_terms, qer_estimator, thresholds,
                     worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
 
@@ -83,9 +83,9 @@ class ChannelModel:
     pairing relies on that (module docstring).
 
     label_rates, when set, is an explicit (N, N) law over the raw labels
-    (a, b).  Otherwise each particle suffers the measurement twirl, raw
-    label (0, c) with c uniform, with probability q, and q alone is read.
-    ChannelModel() is the noiseless channel.
+    (a, b), and q must stay 0.  Otherwise each particle suffers the
+    measurement twirl, raw label (0, c) with c uniform, with probability q,
+    and q alone is read.  ChannelModel() is the noiseless channel.
     """
 
     q: float = 0.0
@@ -95,6 +95,8 @@ class ChannelModel:
         if not 0.0 <= self.q <= 1.0:
             raise ConfigError("attack probabilities must lie in [0, 1]")
         if self.label_rates is not None:
+            if self.q != 0.0:
+                raise ConfigError("a channel with explicit label_rates does not read q; leave it 0")
             if self.label_rates.shape != (gf.N, gf.N):
                 raise ConfigError("pauli-iid channel needs an (N, N) label distribution")
             if not (self.label_rates >= 0).all():  # NaN fails too
@@ -493,21 +495,6 @@ def pec_majority(gf: GF, a, b, s, bob, r: int):
 # Round/repetition selection
 # ----------------------------------------------------------------------
 
-def _bounds_after(d_k: Optional[ErrorDistribution], e00_eff: float, k: int):
-    """r -> worst-case (spin, phase) residual bounds after k rounds and [r,1,r]
-    voting at assumed initial rate e00_eff, for the worst case d_k after those
-    rounds, or None without one.  The bound's r-free terms are built once, on
-    first use."""
-    if d_k is None:
-        return None
-    terms = cache(lambda: pec_bound_terms(d_k, e00_eff, k))
-
-    def bounds(r: int) -> tuple[float, float]:
-        b = terms().at(r)
-        return b.spin, b.phase
-    return bounds
-
-
 def _r_grid(limit: int) -> list[int]:
     """Odd repetition counts 1, 3, 5, ... growing geometrically up to limit."""
     out, r = [], 1
@@ -518,33 +505,29 @@ def _r_grid(limit: int) -> list[int]:
     return out
 
 
-def _choose_r(config: ProtocolConfig, bounds, survivors: int, last: bool):
+def _choose_r(config: ProtocolConfig, terms: Optional[PecBoundTerms], survivors: int, last: bool):
     """(r, spin bound, phase bound, analytic_target_met) for *survivors*
-    registers, or None while purification goes on.  Without an explicit round
-    or repetition count, the first grid r whose bounds meet the eps_I/ell^2
+    registers, or None while purification goes on.  *terms* are the residual
+    bounds' r-free terms at this round count, or None without bounds; each
+    candidate r reads terms.at(r) once.  Without an explicit round or
+    repetition count, the first grid r whose bounds meet the eps_I/ell^2
     target ends it.  After the last round: an explicit r, else the grid r with
     the smallest bound total, else (no bounds) the odd isqrt of the survivors."""
     auto = config.ep_rounds is None and config.pec_r is None
-    grid = _r_grid(max(1, survivors // 2))
-    if auto and bounds is not None:
-        for r in grid:
-            if survivors < r:
-                break
-            spin, phase = bounds(r)
-            if spin + phase <= config.epsilon_i / (survivors // r) ** 2:
-                return r, spin, phase, True
-    if not last:
+    if not (last or auto and terms is not None):
         return None
     met = False if auto and config.gf.p == 2 else None  # odd p has no bound to miss
-    if config.pec_r is not None:
-        r = config.pec_r
-    elif bounds is not None:
-        return min(((c, *bounds(c), met) for c in grid), key=lambda t: t[1] + t[2])
-    else:
-        # bound-free fallback: balance digit count against group size
-        r = max(1, int(math.isqrt(survivors)))
-        r += 1 - r % 2
-    return (r, *bounds(r), met) if bounds is not None else (r, None, None, met)
+    if terms is None:
+        # an explicit r, else the bound-free fallback: balance digit count against group size
+        r = config.pec_r or max(1, int(math.isqrt(survivors)))
+        return r + 1 - r % 2, None, None, met  # made odd; an explicit r already is
+    tried = []
+    for r in [config.pec_r] if config.pec_r is not None else _r_grid(max(1, survivors // 2)):
+        b = terms.at(r)
+        if auto and r <= survivors and b.spin + b.phase <= config.epsilon_i / (survivors // r) ** 2:
+            return r, b.spin, b.phase, True
+        tried.append((r, b.spin, b.phase, met))
+    return min(tried, key=lambda t: t[1] + t[2]) if last else None
 
 
 # ----------------------------------------------------------------------
@@ -619,13 +602,13 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
     # residual bounds are derived for p = 2 inside the dominance region only
-    analytic_ok = gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0
-    # the worst case after k rounds; each round's closed form squares on the last one's
-    d_k = worst_case_distribution(gf, partition, e00_eff) if analytic_ok else None
+    worst = (worst_case_distribution(gf, partition, e00_eff)
+             if gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0 else None)
     rounds = config.ep_rounds if config.ep_rounds is not None else config.ep_rounds_max
     k = 0
     while True:
-        choice = _choose_r(config, _bounds_after(d_k, e00_eff, k), a.size, k == rounds)
+        terms = None if worst is None else pec_bound_terms(ep_closed_form(worst, k), e00_eff, k)
+        choice = _choose_r(config, terms, a.size, k == rounds)
         if choice is not None:
             break
         if a.size < 2:
@@ -634,7 +617,6 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
             return report
         a, b, s, bob = locc2_ep_round(gf, a, b, s, bob)
         k += 1
-        d_k = ep_closed_form(d_k, 1) if d_k is not None else None
         report.ep_rounds = k
         report.survivors_per_round.append(int(a.size))
         if a.size and not (bob == _kernels.gf_add(gf.add_table, s, a)).all():

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -34,18 +34,14 @@ class ErrorDistribution:
 
     Fresh distributions carry the orbit symmetry e_ab = e_a'b' for equivalent
     labels, checked given a partition; all retain e_ab = e_{-a,-b}.
-    ep_closed_form's results also keep their row transforms, up to a positive
-    scale, as *transform*; a further closed form squares it on.
     """
 
-    def __init__(self, gf: GF, rates: np.ndarray, *, partition=None, check: bool = True,
-                 transform: Optional[np.ndarray] = None):
+    def __init__(self, gf: GF, rates: np.ndarray, *, partition=None, check: bool = True):
         rates = np.asarray(rates, dtype=np.float64)
         if rates.shape != (gf.N, gf.N):
             raise ValueError(f"rates must be shaped ({gf.N}, {gf.N})")
         self.gf = gf
         self.rates = rates
-        self.transform = transform
         if check:
             self._validate(partition)
 
@@ -141,20 +137,15 @@ def _character_matrix(gf: GF) -> np.ndarray:
 
 def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
     """The k-round purification result in closed form via the character
-    transform; matches ep_step iterated k times to floating precision.
-
-    The result keeps its squared row transform, so
-    ep_closed_form(ep_closed_form(d, j), k) is ep_closed_form(d, j + k) bit
-    for bit: the same float operations in the same order, without redoing
-    the transform and the first j squarings."""
+    transform; matches ep_step iterated k times to floating precision."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return ErrorDistribution(d.gf, d.rates.copy(), check=False, transform=d.transform)
+        return ErrorDistribution(d.gf, d.rates.copy(), check=False)
     gf = d.gf
     W = _character_matrix(gf)
     # row transforms, ehat[a, m], raised to 2^k by squaring
-    powed = d.rates @ W.T if d.transform is None else d.transform.copy()
+    powed = d.rates @ W.T
     for _ in range(k):
         powed *= powed
         # an exact power-of-two rescale, which cancels in numer / denom, keeps
@@ -164,7 +155,7 @@ def ep_closed_form(d: ErrorDistribution, k: int) -> ErrorDistribution:
     denom = float(powed[:, 0].real.sum())
     if denom <= 0.0:
         raise ZeroDivisionError("degenerate distribution: zero survival probability")
-    return ErrorDistribution(gf, numer / denom, check=False, transform=powed)
+    return ErrorDistribution(gf, numer / denom, check=False)
 
 
 # ----------------------------------------------------------------------

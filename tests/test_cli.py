@@ -803,6 +803,9 @@ def test_print_effective_config():
     assert eff["seed"] == 9 and eff["L"] == 1000
     # the test share the run uses when neither --test-count nor --test-fraction is given
     assert eff["test_fraction"] == 0.01 and eff["test_count"] is None
+    # the library's defaults are the CLI's
+    for key in ("delta", "epsilon_i", "ep_rounds_max"):
+        assert eff[key] == getattr(protocol.ProtocolConfig, key), key
 
 
 def test_io_error_exit_code(tmp_path):

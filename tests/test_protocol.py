@@ -126,6 +126,15 @@ def test_pauli_iid_rejects_negative_or_nan_rates(bad):
         ChannelModel(label_rates=rates).validate(gf)
 
 
+def test_explicit_law_rejects_a_stray_q():
+    # an explicit law is the whole channel: the sampler never reads q, so a
+    # run must not accept one it would silently ignore
+    gf, _ = cached_params(2, 1)
+    law = worst_case_channel(gf, 0.8).label_rates
+    with pytest.raises(ConfigError, match="does not read q"):
+        run_protocol(make_config(2, 1, L=10_000), ChannelModel(q=0.3, label_rates=law))
+
+
 # ---------------------------------------------------------------
 # 8-bit variates
 # ---------------------------------------------------------------
@@ -810,15 +819,24 @@ def test_post_ep_distribution_matches_recursion():
 def test_adjacent_pairing_matches_recursion_across_seeds():
     """Over 200 seeds, round-1 survivors and the pooled post-round label
     histogram agree with ep_step: each chi-square statistic stays below
-    its 0.999 quantile."""
+    its 0.999 quantile.
+
+    With 7-8 tests per set, about one trial in 1600 aborts on its QER
+    estimate, so at most 2 of the 200 may (3 or more have probability about
+    3e-4).  The estimate reads only the tested registers, so the untested
+    pool of every trial keeps its law, and the chi-squares run on the
+    trials that ran."""
     gf, _ = cached_params(2, 2)
     d = worst_case_distribution(gf, cached_partition(2, 2), 0.75)
     cfg = make_config(2, 2, L=20_000, rng_seed=2024, ep_rounds=1, pec_r=1)
     reps = run_trials(cfg, ChannelModel(label_rates=d.rates), 200)
+    aborts = [rep.abort_reason for rep in reps if rep.aborted]
+    assert len(aborts) <= 2 and all(r.startswith("estimated QER") for r in aborts), aborts
+    reps = [rep for rep in reps if not rep.aborted]
     p_agree = float((d.rates.sum(axis=1) ** 2).sum())
     surv_stat, labels = 0.0, np.zeros(16)
     for rep in reps:
-        assert not rep.aborted and rep.ep_rounds == 1
+        assert rep.ep_rounds == 1
         pool = rep.n_sifted - sum(max(1, int(c * 0.01)) for c in rep.set_sizes)
         pairs, surv = pool // 2, rep.survivors_per_round[0]
         surv_stat += (surv - pairs * p_agree) ** 2 / (pairs * p_agree * (1 - p_agree))
@@ -913,11 +931,11 @@ def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
 def test_bounds_built_once_per_round_count(monkeypatch):
     """An automatic-parameter run builds the worst-case distribution once,
     and its closed form and the bounds' r-free terms (the spin error rate
-    among them) once per round count, not once per candidate r."""
-    calls, reads = [], []
-    for name in ("worst_case_distribution", "ep_closed_form"):
+    among them) once per round count tried, not once per candidate r."""
+    calls, reads = {"worst_case_distribution": [], "ep_closed_form": []}, []
+    for name, log in calls.items():
         fn = getattr(protocol, name)
-        monkeypatch.setattr(protocol, name, lambda *a, _fn=fn: calls.append(_fn) or _fn(*a))
+        monkeypatch.setattr(protocol, name, lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
     spin_error_rate = ErrorDistribution.spin_error_rate
     monkeypatch.setattr(ErrorDistribution, "spin_error_rate",
                         lambda d: reads.append(d) or spin_error_rate(d))
@@ -928,8 +946,10 @@ def test_bounds_built_once_per_round_count(monkeypatch):
     # every round is tried and the fallback r is searched too
     assert not rep.aborted and rep.analytic_target_met is False
     assert rep.ep_rounds == cfg.ep_rounds_max
-    assert len(calls) <= cfg.ep_rounds_max + 2
-    assert 0 < len(reads) <= cfg.ep_rounds_max + 2
+    tried = rep.ep_rounds + 1  # round counts 0 .. ep_rounds_max
+    assert len(calls["worst_case_distribution"]) == 1
+    assert [k for _, k in calls["ep_closed_form"]] == list(range(tried))
+    assert len(reads) == tried
 
 
 def test_field_setup_runs_once_per_field(monkeypatch, capsys):

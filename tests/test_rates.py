@@ -168,21 +168,6 @@ def test_closed_form_matches_iteration():
             assert np.abs(ep_closed_form(d, k).rates - it.rates).max() < 1e-10
 
 
-def test_closed_form_squares_on_from_the_last_round_count():
-    # a closed form keeps its squared transform, so round count k built from
-    # round count k - 1 is the from-scratch closed form bit for bit
-    for p, n in [(2, 1), (2, 4), (3, 1), (3, 2)]:
-        d = random_class_symmetric(p, n, np.random.default_rng(p * n))
-        d_k = ep_closed_form(d, 0)
-        for k in range(1, 15):
-            d_k = ep_closed_form(d_k, 1)
-            assert np.array_equal(d_k.rates, ep_closed_form(d, k).rates), (p, n, k)
-        assert np.array_equal(ep_closed_form(ep_closed_form(d, 2), 3).rates,
-                              ep_closed_form(d, 5).rates)
-        assert np.array_equal(ep_closed_form(ep_closed_form(ep_closed_form(d, 2), 0), 1).rates,
-                              ep_closed_form(d, 3).rates)
-
-
 def test_closed_form_survives_underflow_at_deep_k():
     # (e00 + e01)^(2^k) underflows double precision by k = 12 at e00 = 0.6;
     # the closed form still tracks the round-by-round recursion
