@@ -76,8 +76,11 @@ def ep_round(a, b, s, bob, add_t):
     return tuple(out)
 
 
-# Field addition adds base-p digits mod p: sum each digit over a group.
+# Field addition adds base-p digits mod p: sum each digit over a group.  In
+# characteristic 2 that is the XOR of the n-bit encodings, as in gf_add.
 def group_sums(v, gf):
+    if gf.p == 2:
+        return np.bitwise_xor.reduce(v, axis=1)
     sums = gf.coeff_table.astype(np.uint8)[v].sum(axis=1, dtype=np.intp) % gf.p
     return (sums @ np.array(gf.basis)).astype(v.dtype)
 

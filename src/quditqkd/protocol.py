@@ -24,11 +24,13 @@ for a fixed seed are byte-identical to drawing them with
 Generator.integers.  The twirl's measured mask comes from generator
 bytes too, by an exact rule that draws a double only where a byte
 leaves the outcome open (sample_raw_labels gives its law).  An explicit
-law's raw labels come from _categorical: Generator.choice's inverse-CDF
-map, applied to the same doubles, with a bucket table answering most of
-them without choice's binary search; the labels and the generator state
-afterwards are choice's, so reports stay byte-identical to drawing them
-with Generator.choice.
+law's raw labels come from _categorical: the inverse of
+Generator.choice's cdf at U = (w + V) 2^-bits, for one generator word w
+per label (16 bits, 32 above 256 labels) and a Generator.random double V
+drawn only where a cdf entry lies strictly inside the word's interval.
+U is uniform on a grid finer than choice's 2^-53, so each label's
+probability is within 2^-53 of its step of the normalised float cdf, as
+choice's is: the law is choice's, the stream is not.
 
 run_protocol calls the stages in order, on plain arrays; the first four
 walk the pool a block of registers at a time.  sample_raw_labels draws the
@@ -166,42 +168,76 @@ def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
 
 
 def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill *out* with rng.choice(p.size, size=out.size, p=p), bit for bit,
-    leaving rng in the same state, by a table lookup in place of most of
-    choice's binary search.
+    """Fill *out* with i.i.d. labels of law p: the inverse of
+    Generator.choice's cdf, p.cumsum() / its last entry, at
+    U = (w + V) 2^-bits, for one generator word w per label (bits = 16, or
+    32 above 256 labels) and a Generator.random double V.
 
-    choice maps each double u of rng.random to cdf.searchsorted(u, "right"),
-    for cdf = p.cumsum() / its last entry.  Here u and cdf are scaled by nb,
-    a power of two, which is exact and keeps their order, and bucket b holds
-    the u with b <= u * nb < b + 1.  If no cdf entry lies strictly inside the
-    bucket, all its u map to the number of entries <= b, which the table
-    stores; the rest hold the sentinel and their u are searched as choice
-    searches them.  The sentinel is p.size where out's dtype has room for
-    it, else the least likely label: any u that gets it is searched too, so
-    it costs time, not exactness.
+    U is uniform on the 2^-(bits + 53) grid, so each label's probability
+    is within 2^-53 of its step of the float cdf, as choice's is on its
+    2^-53 grid.  With C = cdf 2^bits (exact), the label is #{C_j <= w}
+    unless an entry lies strictly inside (w, w + 1).  Only those words, at
+    most (p.size - 1) / 2^bits of them, keep state and draw V, after the
+    block loop in pool order, so the stream does not depend on
+    _kernels.BLOCK.
+
+    A table of nb buckets (a power of two, >= 64 per label, at most 2^16)
+    answers a word from its top bits when no scaled cdf entry lies strictly
+    inside its bucket; the rest hold the sentinel and are searched on the
+    integer word in their block.  The sentinel is p.size where out's dtype
+    has room for it, else the least likely label: a word that gets it is
+    searched too, so it costs time, not exactness.
     """
     K = p.size
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    nb = 1 << min(16, (64 * K - 1).bit_length())  # >= 64 buckets per label, at most 2^16
-    cdf *= nb
+    bits = 16 if K <= 256 else 32
+    word = np.dtype(f"<u{bits // 8}")
+    C = p.cumsum()
+    C /= C[-1]
+    nb = 1 << min(16, (64 * K - 1).bit_length())
+    shift = bits + 1 - nb.bit_length()  # a word's bucket is w >> shift
     sentinel = K if K <= np.iinfo(out.dtype).max else int(p.argmin())
-    # an entry is <= b exactly when its ceiling is
-    table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=nb + 1).cumsum()[:nb]
+    # the table in bucket units (scaling by a power of two is exact); an
+    # entry is <= b exactly when its ceiling is
+    C *= nb
+    table = np.bincount(np.ceil(C).astype(np.intp), minlength=nb + 1).cumsum()[:nb]
     table = table.astype(out.dtype)
-    table[cdf[cdf != np.floor(cdf)].astype(np.intp)] = sentinel  # entries strictly inside
-    u = np.empty(min(_kernels.BLOCK, out.size))
-    idx = np.empty(u.size, np.intp)
-    for start in range(0, out.size, _kernels.BLOCK):
-        lab = out[start : start + _kernels.BLOCK]
-        ub, ib = u[: lab.size], idx[: lab.size]
-        rng.random(out=ub)
-        ub *= nb
-        ib[...] = ub  # truncation is floor(u * nb): both are exact
+    table[C[C != np.floor(C)].astype(np.intp)] = sentinel  # entries strictly inside
+    C *= 2 ** bits // nb
+    # C_j <= w exactly when ceil(C_j) <= w, never for C_j > 2^bits - 1
+    keys = np.ceil(C[C <= 2**bits - 1]).astype(word)
+    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per block
+    idx = np.empty(min(step, out.size), np.intp)
+
+    def fill(start):
+        # one block's labels; returns the positions and words left to refine
+        lab = out[start : start + step]
+        w = _raw_u32(rng, -(-lab.size * bits // 32)).view(word)[: lab.size]
+        ib = idx[: lab.size]
+        np.right_shift(w, shift, out=ib)
         np.take(table, ib, out=lab, mode="clip")
         # the index is spent: its buffer holds the mask
-        amb = np.equal(lab, sentinel, out=ib.view(bool)[: lab.size])
-        lab[amb] = cdf.searchsorted(ub[amb], "right")
+        at = np.flatnonzero(np.equal(lab, sentinel, out=ib.view(bool)[: lab.size]))
+        w = w[at]  # only the table-ambiguous words are kept
+        lab[at] = keys.searchsorted(w, "right")  # j = #{C_j <= w}, so C[j] > w
+        gap = C[lab[at]]
+        gap -= w
+        inside = np.flatnonzero(gap < 1)  # C[j] < w + 1
+        return at[inside] + start, w[inside]
+
+    parts = [(np.empty(0, np.intp), np.empty(0, word))]
+    parts += [fill(start) for start in range(0, out.size, step)]
+    pos, w = (np.concatenate(part) for part in zip(*parts))
+    w = w.astype(float)  # w + 1 is exact
+    v = rng.random(pos.size)
+    # the entries inside (w, w + 1) are C[lo:hi]; C_j - w is exact there
+    # (Sterbenz), and C_j <= w + V counts exactly when C_j - w <= V
+    lo, hi = C.searchsorted(w, "right"), C.searchsorted(w + 1, "left")
+    while (live := lo < hi).any():
+        mid = (lo + hi) >> 1
+        up = C.take(mid) - w <= v
+        lo = np.where(live & up, mid + 1, lo)
+        hi = np.where(live & ~up, mid, hi)
+    out[pos] = lo
     return out
 
 
@@ -210,7 +246,9 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     label a*N + b in the smallest unsigned dtype that holds N*N - 1.  The
     caller validates the channel.
 
-    The twirl measures a register when its generator byte is below
+    An explicit law's labels come from _categorical.  The noiseless
+    channel, the twirl at q = 0, draws nothing: every label is 0.  The
+    twirl measures a register when its generator byte is below
     t = floor(256 q) or, for the 1/256 whose byte equals t, when one
     rng.random double, drawn after the block loop in pool order (so the
     stream does not depend on _kernels.BLOCK), is below 256 q - t, which is
@@ -224,6 +262,8 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     if channel.label_rates is not None:
         p = channel.label_rates.ravel() / channel.label_rates.ravel().sum()
         return _categorical(rng, p, np.empty(count, dtype))
+    if channel.q == 0:
+        return np.zeros(count, dtype)
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     t = math.floor(256 * channel.q)
     out = np.empty(count, dtype)

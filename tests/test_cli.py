@@ -131,29 +131,29 @@ def test_simulate_report_roundtrip(tmp_path):
 
 # (pec_r, ep_rounds, analytic_target_met, spin bound, phase bound) of each
 # trial of `simulate --p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4
-# --trials 20 --workers 2 --seed 5`, recorded when test registers were
-# first picked by thinning
+# --trials 20 --workers 2 --seed 5`, recorded when the raw labels were
+# first read from generator words
 PINNED_TRIAL_BOUNDS = [
-    (2129, 4, False, 7.519871485889701e-07, 2.638765821412148),
-    (2129, 4, False, 3.704478459631495e-07, 2.4541468060841716),
-    (2129, 4, False, 9.137442309448473e-07, 2.679749375138577),
-    (2129, 4, False, 1.3558228828374655e-06, 2.7512611411953296),
-    (2129, 4, False, 2.965785121140201e-07, 2.3836720891142953),
-    (2129, 4, False, 8.66551070290263e-07, 2.6689838496020424),
-    (2129, 4, False, 7.163377781367906e-07, 2.627925746893995),
-    (2129, 4, False, 1.4561682044535715e-06, 2.7626740854481753),
-    (2129, 4, False, 2.0917421876079463e-07, 2.260364293245277),
-    (2129, 4, False, 6.785615815609902e-07, 2.6155317545710575),
-    (2129, 4, False, 4.66034574750202e-07, 2.5204581597838995),
-    (2129, 4, False, 1.594885946267021e-06, 2.7765862423757968),
-    (2129, 4, False, 4.202943199247424e-07, 2.4914107789143074),
-    (2129, 4, False, 7.233479950279909e-07, 2.630119766638942),
-    (2129, 4, False, 2.952337629643013e-06, 2.853930150700235),
-    (2129, 4, False, 6.13352760899377e-07, 2.5915518398800597),
-    (2129, 4, False, 3.363937950458969e-07, 2.424352666352553),
-    (2129, 4, False, 5.371986475122026e-07, 2.5583351910178362),
-    (2129, 4, False, 1.9750778100761878e-06, 2.806618462332295),
-    (2129, 4, False, 1.5659547186055222e-07, 2.1463495084323956),
+    (2129, 4, False, 6.267223388620124e-07, 2.596765470818852),
+    (2129, 4, False, 7.404773277475975e-07, 2.635350705358464),
+    (2129, 4, False, 1.1307736414389857e-06, 2.7201959768104227),
+    (2129, 4, False, 5.49573796240889e-07, 2.564185384424214),
+    (2129, 4, False, 3.7048017745489875e-07, 2.454173246223615),
+    (2129, 4, False, 1.7930226191407856e-07, 2.2009937751613795),
+    (2129, 4, False, 4.1394100062975077e-07, 2.4870184415491847),
+    (2129, 4, False, 4.490741502777657e-06, 2.892381525351347),
+    (2129, 4, False, 7.070903419201821e-07, 2.6249824395017574),
+    (2129, 4, False, 5.28021194645137e-06, 2.904689980781882),
+    (2129, 4, False, 3.8700015618343615e-07, 2.467271803793896),
+    (2129, 4, False, 1.1198704191172772e-06, 2.7184522001035076),
+    (2129, 4, False, 6.732948316139651e-07, 2.61372274105638),
+    (2129, 4, False, 3.7527577773063134e-07, 2.4580593445268),
+    (2129, 4, False, 6.34079824985743e-07, 2.599565578771231),
+    (2129, 4, False, 3.1634189855851493e-07, 2.4047555747549727),
+    (2129, 4, False, 1.1590581253604304e-06, 2.724602417761309),
+    (2129, 4, False, 1.5260615961833506e-06, 2.7699291294296584),
+    (2129, 4, False, 3.6580983496357303e-07, 2.450319888423802),
+    (2129, 4, False, 1.564262956100608e-06, 2.7736804281251244),
 ]
 
 
@@ -172,7 +172,7 @@ def test_trial_bounds_are_pinned(tmp_path):
 # analytic_target_met) for one run down each repetition-count path: the
 # twirl channels' (per-qubit attack, intercept-resend, grouped attack)
 # recorded when the twirl's mask was first drawn from generator bytes,
-# pauli-iid's when test registers were first picked by thinning; the
+# pauli-iid's when its raw labels were first read from generator words; the
 # noiseless report, blind to which registers are tested, from before the
 # protocol stages were split out of run_protocol
 PINNED_REPORTS = {
@@ -181,23 +181,23 @@ PINNED_REPORTS = {
         "cd638186df90ccbbc4c462b3086cd88f", (53, 3, True)),
     "explicit rounds, smallest bound": (
         "--p 2 --n 3 --L 2000000 --channel pauli-iid --qer 0.3 --ep-rounds 2 --seed 4",
-        "3cfc88570a8df543e17c5d324c8d5c11", (35, 2, None)),
+        "8f25109b3a50033aa08c404245b6642e", (35, 2, None)),
     "explicit r": (
         "--p 2 --n 2 --L 2000000 --channel intercept-resend --q 0.2 --pec-r 7 --seed 4",
         "b9092f29e7cec1abff0d830bcbafc62f", (7, 4, None)),
     "odd p, bound-free r": (
         "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "324c8793cb5875959ba3049089a9f9c9", (53, 4, None)),
+        "bd3cdbf991877c337a2453bc79cb8079", (53, 4, None)),
     "odd p, multi-block": (  # 799,771 sifted registers: several pool blocks
         "--p 3 --n 2 --L 8000000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "b87327116d17c237d672e023849a3a15", (205, 4, None)),
+        "40c2167384f1e89a2cd5a172c670724a", (205, 4, None)),
     "automatic, smallest bound": (
         "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
-        "3414e25af79499c8430190f872fbeb8f", (2129, 4, False)),
+        "c816b74d7dc8185b0286cd51e8e91bf3", (2129, 4, False)),
     # 256 flat labels in uint8, two pool blocks
     "N = 16 pauli-iid": (
         "--p 2 --n 4 --L 3000000 --channel pauli-iid --qer 0.1 --seed 3",
-        "cf885679d24dd1cbab89b9d2415eaaf4", (53, 3, True)),
+        "0eee20c981497f85e6de8856127b6398", (53, 3, True)),
     "grouped attack": (
         "--p 2 --n 3 --L 2000000 --channel grouped-attack --q 0.3 --seed 6",
         "db1201b113b7988abd9e98c33ee5990a", (185, 3, True)),
@@ -315,7 +315,7 @@ def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     res = json.loads(out.read_text())["result"]
     assert res["analytic_target_met"] is None
     assert res["analytic_spin_bound"] is None and res["analytic_phase_bound"] is None
-    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22324, 11129, 5564, 2782]
+    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22271, 11099, 5549, 2774]
     assert res["pec_r"] == 53 and res["key_length"] == 52 and res["keys_match"]
 
 

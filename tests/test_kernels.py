@@ -130,6 +130,21 @@ def test_group_sums_match_xor_for_p2(pool):
     assert (kernels.group_sums(v, make_field(2, 4)) == want).all()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_group_sums_xor_is_the_digit_sum_in_characteristic_2(n):
+    # each base-2 digit summed over the group mod 2, for every p = 2 field
+    # with N <= 256, at the key groups of trials-small and sim-large and at
+    # the edges
+    gf = make_field(2, n)
+    rng = np.random.default_rng(n)
+    for shape in [(2, 2129), (926, 25), (1, 1), (0, 25)]:
+        v = rng.integers(0, gf.N, shape, dtype=np.uint8)
+        digits = gf.coeff_table.astype(np.intp)[v].sum(axis=1) % 2
+        got = kernels.group_sums(v, gf)
+        assert got.dtype == v.dtype and got.shape == shape[:1]
+        assert np.array_equal(got, digits @ np.array(gf.basis)), shape
+
+
 def test_plurality_paths_agree(small_pool):
     """The kernel and the plain-Python reference agree."""
     add_t, a, b, *_ = small_pool

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import math
@@ -77,7 +78,8 @@ def test_flat_sift_index_matches_two_pass_composition(p, n):
     ch = random_label_channel(N)
     lab = sample_raw_labels(ch, gf, 50_000, np.random.default_rng(3))
     assert lab.dtype == np.min_scalar_type(N * N - 1)
-    assert (lab == np.random.default_rng(3).choice(N * N, 50_000, p=ch.label_rates.ravel())).all()
+    law = ch.label_rates.ravel()
+    assert (lab == categorical_reference(np.random.default_rng(3), law / law.sum(), 50_000)).all()
     cfg = make_config(p, n, L=200_000, rng_seed=9, abort_threshold=0.5)
     rep = run_protocol(cfg, ch)
     # replay run_protocol's draws; sift them and look each label up one by one
@@ -212,7 +214,10 @@ def test_uint8_below_from_a_buffered_half(count):
 def twirl_reference(rng, q, N, count):
     """The twirl's rule over the whole array: one generator byte per
     register, measured below t = floor(256 q); then one double per byte
-    equal to t, in pool order, measured below 256 q - t; then the phase."""
+    equal to t, in pool order, measured below 256 q - t; then the phase.
+    At q = 0 nothing is drawn and the generator is left unchanged."""
+    if q == 0:
+        return np.zeros(count, np.uint8)
     t = math.floor(256 * q)
     byte = rng.integers(0, 2**32, size=-(-count // 4), dtype=np.uint32).astype("<u4")
     byte = byte.view(np.uint8)[:count]
@@ -333,24 +338,117 @@ def _categorical_laws():
 CATEGORICAL_LAWS = _categorical_laws()
 
 
+def categorical_reference(rng, p, count):
+    """The word rule over the whole array: one generator word w per label,
+    16 bits (32 above 256 labels), and the label #{j : C_j <= w} for C the
+    normalised cdf scaled by 2^bits; then, in pool order, one double V for
+    each word with an entry strictly inside (w, w + 1), whose label counts
+    the entries C_j <= w + V (C_j - w is exact there)."""
+    bits = 16 if p.size <= 256 else 32
+    cdf = p.cumsum()
+    C = cdf / cdf[-1] * 2.0**bits
+    w = rng.integers(0, 2**32, size=-(-count * bits // 32), dtype=np.uint32).astype("<u4")
+    w = w.view(f"<u{bits // 8}")[:count].astype(float)
+    lab = C.searchsorted(w, "right")
+    (split,) = np.nonzero(C[lab] < w + 1)
+    for i, v in zip(split, rng.random(split.size)):
+        inside = (C > w[i]) & (C < w[i] + 1)
+        lab[i] += np.count_nonzero(C[inside] - w[i] <= v)
+    return lab
+
+
 def _check_categorical(seed, count):
     for name, p in CATEGORICAL_LAWS.items():
-        mine, ref = np.random.default_rng((seed, count)), np.random.default_rng((seed, count))
+        mine, ref = _buffered_pair((seed, count))
         got = protocol._categorical(mine, p, np.empty(count, np.min_scalar_type(p.size - 1)))
-        assert np.array_equal(got, ref.choice(p.size, size=count, p=p)), name
-        assert mine.random() == ref.random(), name
-        assert mine.integers(0, 2**62) == ref.integers(0, 2**62), name
+        assert np.array_equal(got, categorical_reference(ref, p, count)), name
+        _assert_same_stream_after(mine, ref)
 
 
 @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 1])
-def test_categorical_matches_choice_bit_for_bit(count):
-    # the same labels as Generator.choice, and the generator left where it is
+def test_categorical_matches_reference_bit_for_bit(count):
+    # the same labels as the whole-array rule, and the generator left where it is
     _check_categorical(1, count)
 
 
 def test_categorical_is_blind_to_the_block_size(monkeypatch):
     monkeypatch.setattr(_kernels, "BLOCK", 7)
     _check_categorical(2, 1001)
+
+
+@pytest.mark.parametrize("name", ["worst case N=16 e00=0.9", "Dirichlet K=16, 30% zeros",
+                                  "Dirichlet K=256, full support", "Dirichlet K=1024, 30% zeros",
+                                  "1e-12 entry"])
+def test_categorical_label_counts_the_cdf_entries_below_u(monkeypatch, name):
+    """Every word with a scaled cdf entry strictly inside (w, w + 1), and
+    its two neighbours, fed to _categorical as its generator words: each
+    label is #{j : cdf_j <= (w + V) 2^-bits}, counted in exact rationals,
+    with V the next double for a word with an entry inside and any V for
+    the rest, and a double is drawn for exactly the former."""
+    p = CATEGORICAL_LAWS[name]
+    bits = 16 if p.size <= 256 else 32
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    C = cdf * 2.0**bits
+    split = np.floor(C[C != np.floor(C)])
+    words = np.unique(np.concatenate([split - 1, split, split + 1]).clip(0, 2**bits - 1))
+    raw = np.zeros(-(-words.size * bits // 32) * 32 // bits, f"<u{bits // 8}")
+    raw[: words.size] = words
+    assert words.size < B  # one block: one draw of all the words
+    monkeypatch.setattr(protocol, "_raw_u32", lambda rng, n: raw.view("<u4")[:n])
+    mine, twin = np.random.default_rng(7), np.random.default_rng(7)
+    got = protocol._categorical(mine, p, np.empty(words.size, np.min_scalar_type(p.size - 1)))
+    is_split = np.isin(words, split)
+    v = iter(twin.random(int(is_split.sum())))
+    assert mine.bit_generator.state == twin.bit_generator.state
+    steps = [Fraction(c) for c in cdf]
+    for w, s, label in zip(words, is_split, got):
+        u = (int(w) + (Fraction(next(v)) if s else 0)) / Fraction(2**bits)
+        assert label == bisect.bisect_right(steps, u), (w, s)
+
+
+@pytest.mark.parametrize("name", CATEGORICAL_LAWS)
+def test_categorical_law_chi_square(name):
+    """1M labels of each law: no label of zero mass is drawn, and the
+    chi-square of the counts (cells expecting fewer than 5 pooled, a pool
+    expecting fewer than 5 joined to the largest cell) stays below its
+    0.999 quantile."""
+    p = CATEGORICAL_LAWS[name]
+    count = 1_000_000
+    seed = list(CATEGORICAL_LAWS).index(name)
+    lab = protocol._categorical(np.random.default_rng((5, seed)), p,
+                                np.empty(count, np.min_scalar_type(p.size - 1)))
+    got = np.bincount(lab, minlength=p.size)
+    assert not got[p == 0].any()
+    want = count * p[p > 0]
+    got = got[p > 0]
+    small = want < 5
+    got, want = np.append(got[~small], got[small].sum()), np.append(want[~small], want[small].sum())
+    if want[-1] < 5:
+        big = np.argmax(want[:-1])
+        got[big] += got[-1]
+        want[big] += want[-1]
+        got, want = got[:-1], want[:-1]
+    if want.size > 1:
+        assert ((got - want) ** 2 / want).sum() < chi2.ppf(0.999, want.size - 1)
+
+
+@pytest.mark.parametrize("K,bound", [(16, 1.07), (256, 1.07), (63001, 2.02)])
+def test_categorical_traced_peak_per_label(K, bound):
+    """2M labels of a full-support law: the traced peak above out, per
+    label, stays within 1.07 B (2.02 B at K = 63001).  The double-per-label
+    sampler this one replaced read 1.07, 1.08 and 2.02 B at K = 16, 256 and
+    63001; this one reads about 0.67, 0.84 and 1.90, as only words with an
+    entry inside their unit interval keep state for refinement."""
+    p = np.random.default_rng(K).dirichlet(np.ones(K))
+    out = np.empty(2_000_000, np.min_scalar_type(K - 1))
+    tracemalloc.start()
+    try:
+        protocol._categorical(np.random.default_rng(0), p, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / out.size <= bound
 
 
 # ---------------------------------------------------------------
@@ -606,17 +704,17 @@ def test_exhausted_pool_reports_the_rounds_run():
 
 # Pre-purification fields of two fixed-seed runs: n_sifted and set_sizes
 # recorded from the implementation that shuffled the pool and scanned it
-# once per set; the fields that read the raw labels when the tested
-# registers were first picked by thinning (pauli-iid) and when the twirl's
-# mask was first drawn from generator bytes (grouped qubit attack).
+# once per set; the fields that read the raw labels when those were first
+# read from generator words (pauli-iid) and when the twirl's mask was
+# first drawn from generator bytes (grouped qubit attack).
 PINNED_PRE_EP = [
     (dict(p=2, n=2, L=100_000, rng_seed=1234, test_fraction=0.01, ep_rounds=1, pec_r=5),
      ("pauli-iid", 0.8),
      {"n_sifted": 20084, "set_sizes": [3990, 3937, 4057, 4059, 4041],
-      "e_hats": [0.1282051282051282, 0.20512820512820512, 0.1, 0.05, 0.15],
-      "qer_estimate": 0.15833333333333333, "empirical_sbmer": 0.15509858593905596,
-      "empirical_ber": 0.07754929296952798,
-      "post_sift_label_counts": [16188, 781, 0, 0, 779, 0, 806, 0, 0, 787, 743, 0, 0, 0, 0, 0]}),
+      "e_hats": [0.1282051282051282, 0.10256410256410256, 0.15, 0.1, 0.2],
+      "qer_estimate": 0.1701923076923077, "empirical_sbmer": 0.15738896634136626,
+      "empirical_ber": 0.07869448317068313,
+      "post_sift_label_counts": [16125, 798, 0, 0, 803, 0, 756, 0, 0, 813, 789, 0, 0, 0, 0, 0]}),
     (dict(p=2, n=3, L=300_000, rng_seed=99, test_fraction=None, test_count=40, ep_rounds=2,
           pec_r=9),
      ("grouped-qubit-attack", 0.3),
