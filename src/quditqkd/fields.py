@@ -19,7 +19,6 @@ only polynomial operation; the multiplication table's fold uses it too.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -101,7 +100,9 @@ class GF:
     Arithmetic reads the field's tables, which exist for N <= 256: every
     element then fits a uint8.  Larger fields (up to ``MAX_FIELD_SIZE``)
     can be constructed for their modulus, but reading a table, and so any
-    arithmetic, on them raises ConfigError.
+    arithmetic, on them raises ConfigError.  The package reads the tables
+    directly.  The bounds-checked scalar reads add, sub, mul, pow and trace
+    remain for the tests and for perfbench, which counts their calls.
 
     Parameters
     ----------
@@ -149,10 +150,6 @@ class GF:
         self._check(a, b)
         return int(self.add_table[a, b])
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.sub_table[0, a])
-
     def sub(self, a: int, b: int) -> int:
         self._check(a, b)
         return int(self.sub_table[a, b])
@@ -163,8 +160,10 @@ class GF:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        if e < 0:  # a^(N-1) = 1 for a != 0 (Fermat), so e counts mod N - 1
+            if a == 0:
+                raise ZeroDivisionError("zero has no multiplicative inverse")
+            e %= self.N - 1
         r, base = 1, a
         while e:
             if e & 1:
@@ -173,29 +172,10 @@ class GF:
             e >>= 1
         return r
 
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.N - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def trace(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(n-1)), as an int in [0, p)."""
         self._check(a)
         return int(self.trace_table[a])
-
-    def sqrt(self, a: int) -> Optional[int]:
-        """A square root of *a*, or None if *a* is a non-residue.
-
-        For p = 2 the root is unique; for p > 2 the returned root is the
-        smaller of the two under the integer element order.
-        """
-        self._check(a)
-        roots = np.flatnonzero(self.mul_table.diagonal() == a)
-        return int(roots[0]) if roots.size else None
 
     # -- tables: built once per field, read-only --------------------------
 

@@ -114,19 +114,19 @@ def _y_power(gf: GF, c: int, e: int) -> tuple[int, int]:
 def choose_M(gf: GF, c: int) -> SymplecticParams:
     """Pick (alpha, beta, gamma) with alpha*gamma - beta^2 = 1 and
     alpha + gamma = -c, following the two solvable cases: beta^2 = -1
-    with alpha = 0, or alpha = 1 with beta^2 = -c - 2 (the smaller root)."""
+    with alpha = 0, or alpha = 1 with beta^2 = -c - 2; beta is the smallest root."""
+    if not 0 <= c < gf.N:
+        raise ValueError(f"{c} is not an element of {gf!r}")
     sub, mul = gf.sub_table.item, gf.mul_table.item
-    p, gamma = gf.p, gf.neg(c)  # neg checks c; the rest reads the tables
-    if p == 2 or p % 4 == 1:
-        beta = gf.sqrt(sub(0, 1))
-        if beta is None:
-            raise InvariantViolation("sqrt(-1) missing in a p = 2 or p = 1 mod 4 field")
-        alpha = 0
+    if gf.p == 2 or gf.p % 4 == 1:
+        alpha, gamma, target = 0, sub(0, c), sub(0, 1)
     else:
-        alpha, gamma = 1, sub(gamma, 1)
-        beta = gf.sqrt(sub(gamma, 1))  # alpha*gamma - 1 = -c - 2
-        if beta is None:
-            raise InvariantViolation("-c - 2 has no square root in the base field")
+        alpha, gamma = 1, sub(sub(0, c), 1)
+        target = sub(gamma, 1)  # alpha*gamma - 1 = -c - 2
+    roots = np.flatnonzero(gf.mul_table.diagonal() == target)
+    if not roots.size:
+        raise InvariantViolation(f"beta^2 = {target} has no root in {gf!r}")
+    beta = int(roots[0])
     params = SymplecticParams(alpha, beta, gamma, c)
     if sub(mul(alpha, gamma), mul(beta, beta)) != 1:
         raise InvariantViolation("alpha*gamma - beta^2 != 1 (construction bug)")

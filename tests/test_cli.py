@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from quditqkd import cli, protocol
+from quditqkd import cli, fields, protocol
 
 RUN = [sys.executable, "-m", "quditqkd.cli"]
 
@@ -303,6 +303,36 @@ def test_whole_simulate_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["config"]["test_fraction"] == 0.01
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+# one run of each command; simulate on each channel kind, trials included
+SCALAR_FREE_RUNS = [
+    "verify --p 2 --n 4", "verify --p 7 --n 2", "build-t --p 5 --n 1", "classes --p 3 --n 2",
+    "attack --p 2 --n 4 --q 0.84", "thresholds --p 2 --n 1..4",
+    "simulate --p 2 --n 4 --L 1000000 --channel grouped-attack --q 0.5 --seed 1",
+    "simulate --p 2 --n 2 --L 200000 --channel pauli-iid --qer 0.1 --trials 2 --seed 1",
+    "simulate --p 3 --n 1 --L 200000 --channel intercept-resend --q 1 --abort-threshold 0.6 --seed 1",
+]
+
+
+def test_no_command_calls_a_scalar_field_method(monkeypatch, capsys):
+    # the package reads the field tables; GF's checked scalar methods serve the
+    # tests and perfbench's fields.scalar_calls, so no command may call one
+    # (the methods are listed by introspection: one added later is counted too)
+    wrapped, calls = [], []
+    for name, attr in list(vars(fields.GF).items()):
+        if not name.startswith("_") and name != "elements" and callable(attr):
+            def counted(*args, _name=name, _method=attr, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(fields.GF, name, counted)
+            wrapped.append(name)
+    assert {"add", "mul", "pow", "sub", "trace"} <= set(wrapped)
+    protocol.field_setup.cache_clear()
+    for argv in SCALAR_FREE_RUNS:
+        assert cli.main(argv.split()) == 0, argv
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):

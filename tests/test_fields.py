@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from quditqkd.exceptions import ConfigError
+from conftest import cached_params
+from quditqkd.exceptions import ConfigError, InvariantViolation
 from quditqkd.fields import MAX_FIELD_SIZE, _is_prime, make_field
+from quditqkd.toperator import choose_M
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 # every realizable field with N <= 64, used for the exhaustive axiom sweep
@@ -146,18 +148,30 @@ def test_gf3_two_squared():
 
 
 def test_inverse_examples():
-    assert make_field(3, 1).inv(2) == 2
+    assert make_field(3, 1).pow(2, -1) == 2
     gf4 = make_field(2, 2)
-    assert gf4.inv(1) == 1
+    assert gf4.pow(1, -1) == 1
     # brute-force: omega * (omega + 1) = 1
     omega = 2
     inv = next(b for b in gf4.elements() if gf4.mul(omega, b) == 1)
-    assert gf4.inv(omega) == inv == 3
+    assert gf4.pow(omega, -1) == inv == 3
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        make_field(2, 2).inv(0)
+        make_field(2, 2).pow(0, -1)
+
+
+@pytest.mark.parametrize("p,n", AXIOM_FIELDS)
+def test_negative_powers_are_powers_of_the_inverse(p, n):
+    gf = make_field(p, n)
+    for a in range(1, gf.N):
+        inv = gf.pow(a, gf.N - 2)
+        assert gf.mul(a, inv) == 1
+        for e in range(1, 2 * gf.N + 1):
+            assert gf.pow(a, -e) == gf.pow(inv, e)
+    with pytest.raises(ZeroDivisionError):
+        gf.pow(0, -gf.N)
 
 
 def test_trace_prime_field_is_identity():
@@ -173,20 +187,30 @@ def test_trace_gf4():
 
 
 def test_sqrt_examples():
-    assert make_field(2, 2).sqrt(1) == 1
-    assert make_field(5, 1).sqrt(4) == 2  # tie-break picks 2 over 3
-    assert make_field(3, 1).sqrt(2) is None  # squares mod 3 are {0, 1}
+    """choose_M's beta is the smaller of two roots, and at p = 3 mod 4 it is
+    a root of -c - 2 (with alpha = 1), not of -1."""
+    assert choose_M(make_field(2, 2), 2).beta == 1  # beta^2 = -1 = 1
+    assert choose_M(make_field(5, 1), 4).beta == 2  # beta^2 = -1 = 4: 2 over 3
+    m = choose_M(make_field(3, 1), 0)  # squares mod 3 are {0, 1}, so -1 = 2 has no root
+    assert (m.alpha, m.beta) == (1, 1)  # beta^2 = -0 - 2 = 1: 1 over 2
+    assert choose_M(make_field(7, 1), 3).beta == 3  # beta^2 = -3 - 2 = 2: 3 over 4
 
 
 def test_sqrt_roundtrip():
+    """For every c, choose_M's beta is the smallest root of its target, or
+    there is none and it raises; -1 always has a root at p = 2 or 1 mod 4."""
     for p, n in SMALL_FIELDS:
-        gf = make_field(p, n)
-        for a in gf.elements():
-            r = gf.sqrt(a)
-            if p == 2:
-                assert r is not None
-            if r is not None:
-                assert gf.mul(r, r) == a
+        gf, minus_one = make_field(p, n), p == 2 or p % 4 == 1
+        for c in gf.elements():
+            target = gf.sub(0, 1) if minus_one else gf.sub(gf.sub(0, c), 2)
+            roots = [r for r in gf.elements() if gf.mul(r, r) == target]
+            if minus_one:
+                assert roots
+            if not roots:
+                with pytest.raises(InvariantViolation):
+                    choose_M(gf, c)
+                continue
+            assert choose_M(gf, c).beta == roots[0]
 
 
 # ---------------------------------------------------------------
@@ -239,11 +263,14 @@ def test_lookup_tables_match_scalar_arithmetic(p, n):
     assert gf.mul_table.tolist() == mul
     assert gf.trace_table.tolist() == trace
     assert [gf.trace(a) for a in els] == trace
-    assert [gf.neg(a) for a in els] == [oracle_add(gf, ds[0], da, -1) for da in ds]
-    smallest_root = {}
-    for b in reversed(els):
-        smallest_root[mul[b][b]] = b
-    assert [gf.sqrt(a) for a in els] == [smallest_root.get(a) for a in els]
+    assert [gf.sub(0, a) for a in els] == [oracle_add(gf, ds[0], da, -1) for da in ds]
+    # choose_M's beta is the smallest root of -1, or of -c - 2 at p = 3 mod 4
+    _, m = cached_params(p, n)
+    if p == 2 or p % 4 == 1:
+        target = oracle_add(gf, ds[0], ds[1], -1)
+    else:
+        target = oracle_add(gf, digits(gf, oracle_add(gf, ds[0], ds[m.c], -1)), ds[2], -1)
+    assert m.beta == next(b for b in els if mul[b][b] == target)
 
 
 # sha256 (first 16 hex digits) of the add, mul, sub, trace and coeff tables as

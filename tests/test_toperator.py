@@ -55,6 +55,14 @@ def test_choose_m_small_fields():
     assert (m.alpha, m.beta, m.gamma) == (0, 1, 2)
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
+def test_choose_m_rejects_c_outside_the_field(p, n):
+    gf = make_field(p, n)
+    for c in (-1, gf.N):
+        with pytest.raises(ValueError, match="not an element"):
+            choose_M(gf, c)
+
+
 # (c, alpha, beta, gamma) for every prime power N <= 256, keyed by (p, n)
 PINNED_PARAMS = {
     (2, 1): (1, 0, 1, 1), (3, 1): (0, 1, 1, 2), (2, 2): (2, 0, 1, 2), (5, 1): (4, 0, 2, 1),
@@ -185,7 +193,7 @@ def test_conjugation_tables_reject_m_of_wrong_order():
 def test_unit_determinant(p, n):
     gf, m = cached_params(p, n)
     assert gf.sub(gf.mul(m.alpha, m.gamma), gf.mul(m.beta, m.beta)) == 1
-    assert gf.add(m.alpha, m.gamma) == gf.neg(m.c)
+    assert gf.add(m.alpha, m.gamma) == gf.sub(0, m.c)
 
 
 # ---------------------------------------------------------------
@@ -321,7 +329,7 @@ def test_conjugate_label_qutrit_half_period_negates():
     ca, cb = conjugation_tables(gf, params)
     for a in gf.elements():
         for b in gf.elements():
-            assert (ca[2, a, b], cb[2, a, b]) == (gf.neg(a), gf.neg(b))
+            assert (ca[2, a, b], cb[2, a, b]) == (gf.sub(0, a), gf.sub(0, b))
 
 
 def test_conjugate_label_negative_power_inverts():
@@ -376,13 +384,13 @@ def explicit_phi_tables(gf, params):
     add, mul, sub = gf.add_table, gf.mul_table, gf.sub_table
     two = gf.add(1, 1)
     t2 = gf.sub(two, gf.add(al, ga))  # 2 - alpha - gamma, nonzero
-    dinv = gf.inv(gf.mul(t2, t2))
+    dinv = gf.pow(gf.mul(t2, t2), -1)
     g1 = gf.sub(ga, 1)
     a1 = gf.sub(al, 1)
     be2 = gf.mul(be, be)
     # coefficients of a^2, ab, b^2 inside phi_1
     c_a2 = gf.mul(gf.mul(be, be2), g1)
-    c_ab = gf.neg(gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
+    c_ab = gf.sub(0, gf.mul(g1, gf.add(gf.mul(a1, a1), gf.mul(be2, gf.sub(gf.add(al, al), 1)))))
     c_b2 = gf.mul(be, gf.add(gf.mul(gf.mul(al, ga), a1), g1))
     # coefficients inside phi_2
     d_sym = gf.sub(gf.add(al, ga), gf.mul(two, gf.mul(al, ga)))  # alpha+gamma-2*alpha*gamma
@@ -390,7 +398,7 @@ def explicit_phi_tables(gf, params):
     aa, bb, ab = mul[A, A], mul[B, B], mul[A, B]
     phi1 = mul[dinv, add[add[mul[c_a2, aa], mul[c_ab, ab]], mul[c_b2, bb]]]
     if gf.p == 2:
-        t2inv = gf.inv(t2)
+        t2inv = gf.pow(t2, -1)
         ta = mul[sub[mul[g1, A], mul[be, B]], t2inv]
         tb = mul[sub[mul[a1, B], mul[be, A]], t2inv]
         corr = add[_pair_correction(gf, ta, al), _pair_correction(gf, tb, ga)]
@@ -417,7 +425,7 @@ def explicit_coeffs(gf, params, branch_per_coeff):
         return values[(tr[phi1] - inv2 * tr[phi2]) % p]
     # p = 2: phi_2 = (beta/c) * (a+b)^2
     if branch_per_coeff:
-        u = gf.div(params.beta, gf.add(params.alpha, params.gamma))
+        u = gf.mul(params.beta, gf.pow(gf.add(params.alpha, params.gamma), -1))
         ug2 = np.array([gf.trace(gf.mul(u, gf.mul(g, g))) for g in gf.basis])
         s2 = gf.coeff_table[gf.add_table] @ ug2  # indexed [a, b] through w = a+b
     else:
