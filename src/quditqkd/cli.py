@@ -45,6 +45,8 @@ EXIT_CONFIG = 3
 EXIT_INVARIANT = 4
 EXIT_IO = 5
 
+_MAX_THRESHOLD_DEGREE = 1014  # the threshold closed forms take N n = 2^n n as a float, < 2^1024
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,10 +182,10 @@ def _resolve_seed(args: argparse.Namespace) -> Optional[int]:
         raise ConfigError(f"${SEED_ENV} is not an integer: {env!r}") from exc
 
 
-def _parse_degree_range(text: str) -> list[int]:
+def _parse_degree_range(text: str) -> range:
     try:
         lo, sep, hi = text.partition("..")
-        degrees = list(range(int(lo), int(hi if sep else lo) + 1))
+        degrees = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise ConfigError(f"invalid extension degree range {text!r}") from exc
     if not degrees:
@@ -297,6 +299,8 @@ def _cmd_thresholds(args, seed):
     degrees = _parse_degree_range(args.n)
     if args.p != 2:
         raise ConfigError("threshold formulas exist only for characteristic 2")
+    if degrees[-1] > _MAX_THRESHOLD_DEGREE:  # before any row, so that a long range fails at once
+        raise ConfigError(f"thresholds overflow a float above n = {_MAX_THRESHOLD_DEGREE}, got n = {degrees[-1]}")
     table = [thresholds(2**n) for n in degrees]
     rows = [{"N": t.N, "sbmer_percent": f"{100 * t.e_sbmer:.2f}",
              "ber_percent": f"{100 * t.e_ber:.2f}"} for t in table]
@@ -408,9 +412,9 @@ def _cmd_attack(args, seed):
     if args.p != 2:
         raise ConfigError("grouped attack requires characteristic 2")
     n = _degree(args)
-    rep = attack_calculus(2**n, args.q)
-    report = _report_skeleton(args, make_field(2, n), seed)
-    report["result"] = asdict(rep)
+    gf = make_field(2, n)  # first: every n past the field cap exits on it, before any closed form
+    report = _report_skeleton(args, gf, seed)
+    report["result"] = asdict(attack_calculus(2**n, args.q))
     _emit(args, report)
 
 

@@ -12,6 +12,10 @@ M's action on labels is one cached table, conjugation_tables, built by
 iterating M and checked to have order N+1.  The label classes (the
 orbits of M), T's conjugation check and the protocol's sift all read it.
 
+The phase T's conjugation attaches to each label, f (_f_table), is one
+integer table in one unit per field: powers of omega_p for odd p, quarter
+turns (+i) for p = 2, read off a Z4 quadratic form on the digits.
+
 The search for c and M reads the field tables directly.  T is assembled
 in one gather from its coefficients and checked by verify_T before it is
 returned: unitarity, the conjugation relation for every label (a block of
@@ -67,7 +71,7 @@ class TOperator:
     params: SymplecticParams
     matrix: np.ndarray
     coeffs: np.ndarray  # Lambda_ab, indexed [a, b]
-    f_table: tuple[np.ndarray, np.ndarray]  # (num, den) of f, indexed [a, b]
+    f_table: np.ndarray  # f, indexed [a, b]: quarter turns for p = 2, powers of omega_p else
     report: VerificationReport | None = None  # the checks build_T passed it on
 
 
@@ -173,51 +177,33 @@ def equiv_classes(gf: GF, params: SymplecticParams) -> list[tuple[tuple[int, int
 # The phase function f and the coefficients of T
 # ----------------------------------------------------------------------
 
-def _pair_correction(gf: GF, x: np.ndarray, coef: int) -> np.ndarray:
-    """p = 2: sum over i > j of x_i x_j g_i g_j coef, elementwise over x."""
-    add, mul = gf.add_table, gf.mul_table
-    digits = gf.coeff_table[x]
-    out = np.zeros(x.shape, dtype=np.intp)
-    for i in range(gf.n):
-        for j in range(i):
-            term = mul[mul[gf.basis[i], gf.basis[j]], coef]
-            out = add[out, np.where(digits[..., i] & digits[..., j], term, 0)]
-    return out
+def _f_table(gf: GF, params: SymplecticParams) -> np.ndarray:
+    """Exponent f of the conjugation relation X_a Z_b T = w^f(a,b) T X_a' Z_b'
+    for every label, an (N, N) integer array indexed [a, b] in one unit per
+    field: w = omega_p, f in [0, p), for odd p, and w = omega_2^(1/2) = +i,
+    a quarter turn, f in [0, 4), for p = 2.
 
-
-def _f_table(gf: GF, params: SymplecticParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent of omega_p in the conjugation relation
-    X_a Z_b T = omega_p^f(a,b) T X_a' Z_b' for every label, as (num, den)
-    (N, N) arrays indexed [a, b] with den in {1, 2}.
-
-    For odd p the half is absorbed by 2^-1 in GF(p) and the exponent is
-    integral.  For p = 2 the half-integral diagonal terms are evaluated
-    per basis coefficient with omega_2^(1/2) = +i.
+    For odd p the half is absorbed by 2^-1 in GF(p).  For p = 2 the
+    half-integral term Tr(c x^2)/2 is the Z4 lift d G_c d^T of the quadratic
+    form on the digits d of x, with G_c[i, j] = Tr(c g_i g_j), over the integers.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
     add, mul, tr = gf.add_table, gf.mul_table, gf.trace_table
     p = gf.p
     A, B = np.ogrid[:gf.N, :gf.N]
-    aa, bb = mul[A, A], mul[B, B]
-    cross = mul[mul[A, B], mul[be, be]]
+    cross = tr[mul[mul[A, B], mul[be, be]]]
     if p != 2:
-        half_arg = mul[be, add[mul[aa, al], mul[bb, ga]]]
-        inv2 = pow(2, p - 2, p)
-        num = (inv2 * tr[half_arg] + tr[cross]) % p
-        return num, np.ones_like(num)
-    # p = 2: per-coefficient half-integral terms plus the i > j correction
-    digits = gf.coeff_table
-    gj2 = [mul[g, g] for g in gf.basis]
-    s_a = digits @ tr[mul[mul[al, be], gj2]]
-    s_b = digits @ tr[mul[mul[be, ga], gj2]]
-    s = s_a[:, None] + s_b[None, :]
-    corr = add[_pair_correction(gf, A, al), _pair_correction(gf, B, ga)]
-    num = s + 2 * tr[add[cross, mul[be, corr]]]
-    even = num % 2 == 0
-    return np.where(even, (num // 2) % 2, num % 4), np.where(even, 1, 2)
+        half_arg = mul[be, add[mul[mul[A, A], al], mul[mul[B, B], ga]]]
+        return (pow(2, p - 2, p) * tr[half_arg] + cross) % p
+    digits, g = gf.coeff_table, np.array(gf.basis)
+
+    def lift(c):  # d G_c d^T for every element
+        return np.einsum("xi,ij,xj->x", digits, tr[mul[c, mul[g[:, None], g]]], digits)
+
+    return (lift(mul[al, be])[:, None] + lift(mul[be, ga])[None, :] + 2 * cross) % 4
 
 
-def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: np.ndarray) -> np.ndarray:
     """Lambda_ab propagated from Lambda_00 = 1/N through the defining
     relation, hopping each (i, j) to (0, 0) via (M - I)^(-1)."""
     N, p = gf.N, gf.p
@@ -233,16 +219,15 @@ def _coeffs_closure(gf: GF, params: SymplecticParams, f_table: tuple[np.ndarray,
     ap = add[mul[a, al], mul[b, be]]
     inner = sub[sub[J, mul[a, be]], mul[b, g1]]
     extra = (tr[mul[ap, inner]] - tr[mul[b, I]]) % p
-    # the phase omega_p^(f(a, b) + extra), in quarter turns for p = 2
-    # (omega_2^(1/2) = +i) and in powers of omega_p for odd p
-    num, den = f_table[0][a, b], f_table[1][a, b]
+    # the phase w^f(a, b) omega_p^extra in f's unit w: quarter turns for
+    # p = 2 (omega_2 = w^2), powers of omega_p for odd p
     if p == 2:
         values = np.array([1j**k / N for k in range(4)])
-        lam = values[(num * (2 // den) + 2 * extra) % 4]
     else:
         omega = np.exp(2j * np.pi / p)
         values = np.array([omega**e / N for e in range(p)])
-        lam = values[(num + extra) % p]
+    q = len(values)
+    lam = values[(f_table[a, b] + q // p * extra) % q]
     lam[0, 0] = 1.0 / N
     return lam
 
@@ -264,15 +249,15 @@ def _assemble(gf: GF, lam: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_residual(gf: GF, params: SymplecticParams, T: np.ndarray, f_table) -> float:
-    """max over all N^2 labels of |X_a Z_b T - omega^f(a,b) T X_a' Z_b'|, a
+    """max over all N^2 labels of |X_a Z_b T - w^f(a,b) T X_a' Z_b'|, a
     block of label rows (fixed a, all b) per pass.  Row u of X_a Z_b T is
     chi[b, u-a] T[u-a, :]; column v of T X_a' Z_b' is chi[b', v] T[:, a'+v]."""
     N, add, sub = gf.N, gf.add_table, gf.sub_table
     a_img, b_img = (t[1] for t in conjugation_tables(gf, params))
     chi = _char_table(gf)
-    # omega_p^(k/d) for every value k/d of f (omega_2^(1/2) = +i), looked up per label
-    values = np.array([[np.exp(2j * np.pi * k / (gf.p * d)) for k in range(2 * gf.p)] for d in (1, 2)])
-    ph = values[f_table[1] - 1, f_table[0]]
+    # w^k for every value k of f, in f's unit (w = +i for p = 2), looked up per label
+    q = 4 if gf.p == 2 else gf.p
+    ph = np.array([np.exp(2j * np.pi * k / q) for k in range(q)])[f_table]
     rows = max(1, _BLOCK // N**3)  # one at N >= 26
     worst = 0.0
     for start in range(0, N, rows):

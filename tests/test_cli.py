@@ -378,6 +378,30 @@ def test_attack_above_the_table_cap_reports_its_modulus(capsys):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "ef99afb6d04faf076376f6416de14897"
 
 
+@pytest.mark.parametrize("argv", [
+    # attack exits on the field cap (n >= 17), thresholds past the float range
+    # of their closed forms (n >= 1015), a range on its largest degree
+    ["attack", "--p", "2", "--n", "17", "--q", "0.84"],
+    ["attack", "--p", "2", "--n", "1100", "--q", "0.84"],
+    ["thresholds", "--p", "2", "--n", "1015"],
+    ["thresholds", "--p", "2", "--n", "1100"],
+    ["thresholds", "--p", "2", "--n", "1..2000"],
+])
+def test_degrees_past_the_closed_forms_are_config_errors(monkeypatch, capsys, argv):
+    calls = []
+    monkeypatch.setattr(cli, "thresholds", lambda N: calls.append(N))
+    monkeypatch.setattr(cli, "attack_calculus", lambda N, q: calls.append(N))
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert calls == []  # the degree is checked before any closed form
+
+
+def test_thresholds_reach_the_largest_float_degree(capsys):
+    assert cli.main(["thresholds", "--p", "2", "--n", "1014"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["rows"][0]["N"] == 2**1014
+
+
 def test_internal_value_error_exits_4_without_traceback(monkeypatch, capsys):
     # a ValueError below every config check is a fault of the program, not of its input
     def broken_stage(*args):

@@ -13,7 +13,6 @@ from quditqkd.toperator import (
     _coeffs_closure,
     _conjugation_residual,
     _f_table,
-    _pair_correction,
     _walk_powers,
     build_T,
     choose_M,
@@ -201,14 +200,50 @@ def test_unit_determinant(p, n):
 # ---------------------------------------------------------------
 
 def test_phase_f_at_zero():
+    # one integer table per field, in quarter turns for p = 2 and powers of omega_p else
     for p, n in PRIME_POWERS:
-        num, den = _f_table(*cached_params(p, n))
-        assert (num[0, 0], den[0, 0]) == (0, 1)
+        gf, params = cached_params(p, n)
+        f = _f_table(gf, params)
+        assert f.shape == (gf.N, gf.N) and f.dtype.kind == "i"
+        assert f[0, 0] == 0 and 0 <= f.min() and f.max() < (4 if p == 2 else p)
 
 
 def test_phase_f_qutrit_integral():
-    num, den = cached_top(3, 1).f_table
-    assert (den == 1).all() and set(num.ravel().tolist()) <= {0, 1, 2}
+    f = cached_top(3, 1).f_table
+    assert f.dtype.kind == "i" and set(f.ravel().tolist()) <= {0, 1, 2}
+
+
+def cocycle_holds(gf, m_image, f):
+    """f(0, 0) = 0 and, for every label l and each basis label m in
+    {(g_i, 0), (0, g_i)}, f(l + m) = f(l) + f(m) + (q/p) [Tr(b_Ml a_Mm) -
+    Tr(b_l a_m)] mod q, in f's unit (q = 4 for p = 2, else p): the phase law
+    of W(l + m) T, with W(l) W(m) = omega_p^Tr(b_l a_m) W(l + m).  The basis
+    labels generate GF(N)^2, so the identity pins f.  m_image is M's (a', b')."""
+    p, add, mul, tr = gf.p, gf.add_table, gf.mul_table, gf.trace_table
+    q, (ca, cb) = (4 if p == 2 else p), m_image
+    A, B = np.ogrid[:gf.N, :gf.N]
+    ok = f[0, 0] == 0
+    for ma, mb in [(g, 0) for g in gf.basis] + [(0, g) for g in gf.basis]:
+        twist = tr[mul[cb, ca[ma, mb]]] - tr[mul[B, ma]]
+        ok &= ((f[add[A, ma], add[B, mb]] - f - f[ma, mb] - q // p * twist) % q == 0).all()
+    return bool(ok)
+
+
+@pytest.mark.parametrize("p,n", PINNED_PARAMS)
+def test_phase_f_satisfies_the_cocycle_identity(p, n):
+    # exact on every field N <= 256, also above N = 64 where no dense T is
+    # built to check f; one unit more at a single label breaks it
+    gf = make_field(p, n)
+    c, al, be, ga = PINNED_PARAMS[p, n]
+    params = SymplecticParams(al, be, ga, c)
+    # row 1 of the uncached tables: the cache would keep 2(N+1)N^2 bytes per field
+    m_image = tuple(t[1] for t in conjugation_tables.__wrapped__(gf, params))
+    f = _f_table(gf, params)
+    assert cocycle_holds(gf, m_image, f)
+    for label in ((1, 0), (0, 1), (gf.N - 1, gf.N - 1)):
+        wrong = f.copy()
+        wrong[label] = (wrong[label] + 1) % (4 if p == 2 else p)
+        assert not cocycle_holds(gf, m_image, wrong)
 
 
 def test_qubit_coefficients_match_known_phases():
@@ -378,6 +413,18 @@ def test_equiv_class_structure(p, n):
 # the paper's explicit coefficient formula, as an oracle
 # ---------------------------------------------------------------
 
+def pair_term(gf, x, c):
+    """p = 2: the sum over i > j of x_i x_j g_i g_j c in GF(N), elementwise
+    over the element array x, with x_i the digits of x."""
+    digits = gf.coeff_table[x]
+    out = np.zeros(x.shape, dtype=np.intp)
+    for i in range(gf.n):
+        for j in range(i):
+            term = gf.mul(gf.mul(gf.basis[i], gf.basis[j]), c)
+            out = gf.add_table[out, np.where(digits[..., i] & digits[..., j], term, 0)]
+    return out
+
+
 def explicit_phi_tables(gf, params):
     """phi_1 and phi_2 of the explicit coefficient formula, indexed [a, b]."""
     al, be, ga = params.alpha, params.beta, params.gamma
@@ -401,7 +448,7 @@ def explicit_phi_tables(gf, params):
         t2inv = gf.pow(t2, -1)
         ta = mul[sub[mul[g1, A], mul[be, B]], t2inv]
         tb = mul[sub[mul[a1, B], mul[be, A]], t2inv]
-        corr = add[_pair_correction(gf, ta, al), _pair_correction(gf, tb, ga)]
+        corr = add[pair_term(gf, ta, al), pair_term(gf, tb, ga)]
         phi1 = add[phi1, mul[be, corr]]
     sym = add[add[aa, mul[two, mul[be, ab]]], bb]
     mix = mul[two, mul[be2, add[mul[ga, aa], mul[al, bb]]]]
@@ -463,15 +510,14 @@ def unitarity_residual(T):
 
 def scalar_conjugation_residual(gf, params, T, f_table):
     """The conjugation check label by label with scalar field calls:
-    max |X_a Z_b T - omega^f(a,b) T X_a' Z_b'| over all N^2 labels."""
+    max |X_a Z_b T - w^f(a,b) T X_a' Z_b'| over all N^2 labels."""
     omega = np.exp(2j * np.pi / gf.p)
-    num, den = f_table
     worst = 0.0
     for a in gf.elements():
         for b in gf.elements():
             ap = gf.add(gf.mul(params.alpha, a), gf.mul(params.beta, b))
             bp = gf.add(gf.mul(params.beta, a), gf.mul(params.gamma, b))
-            ph = phase_value(gf.p, int(num[a, b]), int(den[a, b]))
+            ph = phase_value(gf.p, int(f_table[a, b]))
             src = [gf.sub(u, a) for u in gf.elements()]
             left = np.array([omega ** gf.trace(gf.mul(b, w)) for w in src])[:, None] * T[src, :]
             cols = [gf.add(ap, v) for v in gf.elements()]
@@ -496,16 +542,16 @@ def test_conjugation_residual_matches_scalar_reference(p, n):
 # (2, 4) runs four blocks of 4 label rows, (13, 1) blocks of 7 and 6 rows
 @pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (2, 4), (13, 1)])
 def test_conjugation_residual_covers_every_label(p, n):
-    # one label's phase moved by one step of omega_p^(1/den) leaves that label
-    # off by the step times T's flat entries, 1/sqrt(N)
+    # one label's phase moved by one unit of f (a quarter turn for p = 2)
+    # leaves that label off by the step times T's flat entries, 1/sqrt(N)
     top = cached_top(p, n)
-    num, den = top.f_table
+    q = 4 if p == 2 else p
+    step = abs(1 - np.exp(2j * np.pi / q)) / np.sqrt(top.gf.N)
     for a in top.gf.elements():
         for b in top.gf.elements():
-            wrong = num.copy()
-            wrong[a, b] = (wrong[a, b] + 1) % (p * den[a, b])
-            step = abs(1 - np.exp(2j * np.pi / (p * den[a, b]))) / np.sqrt(top.gf.N)
-            residual = _conjugation_residual(top.gf, top.params, top.matrix, (wrong, den))
+            wrong = top.f_table.copy()
+            wrong[a, b] = (wrong[a, b] + 1) % q
+            residual = _conjugation_residual(top.gf, top.params, top.matrix, wrong)
             assert residual == pytest.approx(step, abs=1e-12)
 
 

@@ -8,9 +8,11 @@ the integer encoding of GF(N) elements, zero first.
 import numpy as np
 
 
-def phase_value(p: int, num: int, den: int) -> complex:
-    """Complex value of omega_p^(num/den) with the +i branch for p = 2."""
-    return np.exp(2j * np.pi * num / (p * den))
+def phase_value(p: int, f: int) -> complex:
+    """Complex value of w^f in the field's unit of f: w = omega_p for odd p,
+    and w = omega_2^(1/2) = +i, a quarter turn, for p = 2."""
+    q = 4 if p == 2 else p
+    return np.exp(2j * np.pi * f / q)
 
 
 def pauli_matrix(gf, a: int, b: int) -> np.ndarray:
