@@ -123,12 +123,15 @@ class GF:
     """
 
     def __init__(self, p: int, n: int) -> None:
-        if not _is_prime(p):
-            raise ConfigError(f"p={p} is not prime")
         if n <= 0:
             raise ConfigError(f"extension degree must be positive, got {n}")
-        if p**n > MAX_FIELD_SIZE:
+        # before the trial division, which grows with p; for p >= 2, p^n passes
+        # the cap once n reaches its bit length, so no larger power is taken
+        if p > MAX_FIELD_SIZE or p >= 2 and (n >= MAX_FIELD_SIZE.bit_length()
+                                             or p**n > MAX_FIELD_SIZE):
             raise ConfigError(f"field size {p}^{n} exceeds the desk-scale cap {MAX_FIELD_SIZE}")
+        if not _is_prime(p):
+            raise ConfigError(f"p={p} is not prime")
         self.p = p
         self.n = n
         self.N = p**n

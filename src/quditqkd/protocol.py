@@ -38,22 +38,25 @@ flat raw labels; sift conjugates them into (a, b), writing a over the raw
 labels it has read, and counts each set; estimate_qer picks each set's
 test registers by thinning (a register is marked when one generator byte
 is below k; each set tests a uniform choice of its marked members) and
-removes them from (a, b, s) in place, leaving the untested registers
-packed at the front; run_protocol then sets Bob's value s + a on those
-alone, in the set-index buffer that testing has spent; locc2_ep_round
-runs once per purification round; pec_majority extracts the key digits.
-The pool-sized arrays are four: the set indices, Alice's values, the raw
-labels and b.
+removes them from (a, b, s) by swap-remove, leaving the untested
+registers packed at the front; run_protocol then sets Bob's value s + a
+on those alone, in the set-index buffer that testing has spent;
+locc2_ep_round runs once per purification round; pec_majority extracts
+the key digits.  The pool-sized arrays are four: the set indices, Alice's
+values, the raw labels and b.
 
 No stage shuffles the pool.  Every channel is i.i.d. per particle, and
-testing takes uniform picks from each set blind to labels (thinning's
-picks have exactly the law of rng.choice among all of a set's members;
-see estimate_qer), so the untested pool is exchangeable; pairing adjacent
-registers (purification) or grouping consecutive ones (majority vote)
-then has the law of doing so after a uniform shuffle, and survivors stay
-exchangeable.  A channel that is not i.i.d. must shuffle first.  Testing
-the first members of each set would break this: sets of sizes (3, 2), one
-test each, leave the orders AAB/ABA/BAA 4/3/3 times.
+testing picks a uniform subset of each set blind to labels (see
+estimate_qer), so a permutation fixing the tested set T pointwise keeps
+the joint law of the pool and the picks: given T, the untested registers
+are exchangeable, and swap-remove's order, read off T alone, keeps their
+law, also given no abort (which reads only tested labels).  Pairing
+adjacent registers (purification) or grouping consecutive ones (majority
+vote) then has the law of doing so after a uniform shuffle, and
+survivors stay exchangeable.  A channel that is not i.i.d. must shuffle
+first.  Testing the first members of each set would break this: sets of
+sizes (3, 2), one test each, leave the orders AAB/ABA/BAA 4/3/3 times;
+so would sorting the kept registers by a label.
 """
 
 from __future__ import annotations
@@ -455,9 +458,11 @@ def estimate_qer(gf: GF, set_idx, set_sizes, pool, test_counts, abort_threshold:
 
     *pool* is (a, b, s): sift's labels and Alice's values; run_protocol sets
     Bob's value afterwards, on the untested registers alone, writing it over
-    set_idx, which is spent once this returns.  The tested registers are
-    removed from all three arrays in place, keeping pool order, and the
-    first EstimateResult.kept entries of each are untested.
+    set_idx, which is spent once this returns.  The tested registers leave
+    all three arrays by swap-remove, and the first EstimateResult.kept
+    entries of each are untested: the tested positions below kept,
+    ascending, take the untested registers of the tail [kept, n),
+    ascending, an order read off the tested positions alone (module docstring).
     """
     for i, (size, want) in enumerate(zip(set_sizes.tolist(), test_counts.tolist())):
         if size < want:
@@ -478,27 +483,19 @@ def estimate_qer(gf: GF, set_idx, set_sizes, pool, test_counts, abort_threshold:
         k = min(256, 2 * k)
     marked = np.concatenate(marked)
     marked_set = set_idx[marked]
-    tested = []
+    pick = np.zeros(marked.size, bool)
     for i, want in enumerate(test_counts.tolist()):
-        members = marked[marked_set == i]
-        tested.append(members[rng.choice(members.size, size=want, replace=False)])
-    tested = np.concatenate(tested)
+        members = np.flatnonzero(marked_set == i)
+        pick[members[rng.choice(members.size, size=want, replace=False)]] = True
+    tested, owner = marked[pick], marked_set[pick]  # ascending, as the marks are
     del marked, marked_set
-    owner = np.repeat(np.arange(gf.N + 1), test_counts)
     e_hats = (np.bincount(owner, pool[0][tested] != 0, gf.N + 1) / test_counts).tolist()
-    tested.sort()
-    bounds = np.searchsorted(tested, np.arange(0, n + _kernels.BLOCK, _kernels.BLOCK))
-    kept = 0
-    for j, start in enumerate(range(0, n, _kernels.BLOCK)):
-        blk, m = slice(start, start + _kernels.BLOCK), min(_kernels.BLOCK, n - start)
-        hit = tested[bounds[j] : bounds[j + 1]] - start
-        keep = slice(None)
-        if hit.size:
-            keep = np.ones(m, dtype=bool)
-            keep[hit] = False
-        for v in pool:
-            v[kept : kept + m - hit.size] = v[blk][keep]
-        kept += m - hit.size
+    kept = n - tested.size
+    cut = tested.searchsorted(kept)
+    tail = np.ones(n - kept, bool)
+    tail[tested[cut:] - kept] = False
+    for v in pool:
+        v[tested[:cut]] = v[kept:][tail]
     est = qer_estimator(e_hats)
     reason = (f"estimated QER {est:.4f} exceeds threshold {abort_threshold:.4f}"
               if est > abort_threshold else None)

@@ -167,8 +167,14 @@ def test_acceptance_5_recursion_oracle():
 # 6. Monte-Carlo statistics against the analytic formulas
 # ---------------------------------------------------------------------
 
+@pytest.mark.statistical
 @pytest.mark.parametrize("p,n,e00", [(2, 1, 0.7), (2, 2, 0.6)])
 def test_acceptance_6_monte_carlo_vs_analytics(p, n, e00):
+    """False-failure probability: 0.001 for (a) (chi-square approximation);
+    for (b), 0.0027 per label of nonzero mass after one round, 4 at N = 2
+    and 6 at N = 4, so at most 0.011 and 0.016 (normal approximation, union
+    bound).  (c) is an event over 200 trials, every one of which must run:
+    its rate is not measured."""
     t0 = time.time()
     gf, _ = cached_params(p, n)
     part = cached_partition(p, n)
@@ -225,7 +231,12 @@ def test_acceptance_6_monte_carlo_vs_analytics(p, n, e00):
 # 7. the qubit-group attack story
 # ---------------------------------------------------------------------
 
+@pytest.mark.statistical
 def test_acceptance_7_attack_reproduction():
+    """The seed counts (18 of 20 joint outcomes, three per-qubit aborts) are
+    events whose false-failure rates are not measured.  The six-state BER
+    tolerance, 0.005, is about 17 sd at 1.3M sifted registers: its
+    false-failure probability is negligible (normal approximation)."""
     t0 = time.time()
     q = 0.84
     rep = attack_calculus(16, q)
@@ -278,7 +289,11 @@ def test_acceptance_7_attack_reproduction():
 # 8. measure-and-resend error ceilings
 # ---------------------------------------------------------------------
 
+@pytest.mark.statistical
 def test_acceptance_8_intercept_resend_ceiling():
+    """Each of the five fields' SBMER lies within 3 sd of its ceiling:
+    false-failure probability at most 5 x 0.0027 = 0.0135 (normal
+    approximation, union bound)."""
     t0 = time.time()
     L = 100_000
     results = []

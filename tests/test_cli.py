@@ -169,38 +169,37 @@ def test_trial_bounds_are_pinned(tmp_path):
 
 
 # md5 of json.dumps(result, sort_keys=True) and (pec_r, ep_rounds,
-# analytic_target_met) for one run down each repetition-count path: the
-# twirl channels' (per-qubit attack, intercept-resend, grouped attack)
-# recorded when the twirl's mask was first drawn from generator bytes,
-# pauli-iid's when its raw labels were first read from generator words; the
-# noiseless report, blind to which registers are tested, from before the
-# protocol stages were split out of run_protocol
+# analytic_target_met) for one run down each repetition-count path, each
+# recorded when the tested registers first left the pool by swap-remove,
+# except the noiseless report, blind to which registers are tested and to
+# their order, from before the protocol stages were split out of
+# run_protocol
 PINNED_REPORTS = {
     "first certified r": (
         "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-        "cd638186df90ccbbc4c462b3086cd88f", (53, 3, True)),
+        "6f08b6604705ca65d5e841db7472ae7f", (53, 3, True)),
     "explicit rounds, smallest bound": (
         "--p 2 --n 3 --L 2000000 --channel pauli-iid --qer 0.3 --ep-rounds 2 --seed 4",
-        "8f25109b3a50033aa08c404245b6642e", (35, 2, None)),
+        "e0472d9482a9a018b5faf6ab1795d2ad", (35, 2, None)),
     "explicit r": (
         "--p 2 --n 2 --L 2000000 --channel intercept-resend --q 0.2 --pec-r 7 --seed 4",
-        "b9092f29e7cec1abff0d830bcbafc62f", (7, 4, None)),
+        "af894cbdbe7f2d9cf4fa82a5fc564077", (7, 4, None)),
     "odd p, bound-free r": (
         "--p 3 --n 1 --L 200000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "bd3cdbf991877c337a2453bc79cb8079", (53, 4, None)),
+        "12a5274d621a9852e9a2c00fbdecc897", (53, 4, None)),
     "odd p, multi-block": (  # 799,771 sifted registers: several pool blocks
         "--p 3 --n 2 --L 8000000 --channel pauli-iid --qer 0.1 --abort-threshold 0.3 --seed 3",
-        "40c2167384f1e89a2cd5a172c670724a", (205, 4, None)),
+        "712039facd482a8671bc1bbd55d6270c", (205, 4, None)),
     "automatic, smallest bound": (
         "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --seed 5",
-        "c816b74d7dc8185b0286cd51e8e91bf3", (2129, 4, False)),
+        "1f4a8e01c8e56584021c2cfd12f2fe1a", (2129, 4, False)),
     # 256 flat labels in uint8, two pool blocks
     "N = 16 pauli-iid": (
         "--p 2 --n 4 --L 3000000 --channel pauli-iid --qer 0.1 --seed 3",
-        "0eee20c981497f85e6de8856127b6398", (53, 3, True)),
+        "976ae1336efcfe9442dbb2987ba9cde8", (53, 3, True)),
     "grouped attack": (
         "--p 2 --n 3 --L 2000000 --channel grouped-attack --q 0.3 --seed 6",
-        "db1201b113b7988abd9e98c33ee5990a", (185, 3, True)),
+        "e33ab4376ccab45b500ba04de2cbc677", (185, 3, True)),
     "noiseless": (
         "--p 2 --n 3 --L 500000 --channel noiseless --seed 2",
         "134ffd1470fcd33f38c4755bdca0648c", (35, 2, True)),
@@ -291,10 +290,10 @@ def test_t_reports_are_pinned(capsys, p, n):
 
 
 # md5 of one whole simulate stdout, config and field included, recorded
-# when the twirl's mask was first drawn from generator bytes
+# when the tested registers first left the pool by swap-remove
 PINNED_SIMULATE_STDOUT = (
     "--p 2 --n 1 --L 200000 --channel per-qubit-attack --q-prime 0.1 --seed 8",
-    "49d9b2651fb91dfd57b1bef9e4fa10ea")
+    "733bc4c21ca88b84721c7a3844cc4c2e")
 
 
 def test_whole_simulate_stdout_is_pinned(capsys):
@@ -345,7 +344,7 @@ def test_odd_p_simulate_reports_no_analytic_bound(tmp_path):
     res = json.loads(out.read_text())["result"]
     assert res["analytic_target_met"] is None
     assert res["analytic_spin_bound"] is None and res["analytic_phase_bound"] is None
-    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22271, 11099, 5549, 2774]
+    assert res["ep_rounds"] == 4 and res["survivors_per_round"] == [22286, 11102, 5551, 2775]
     assert res["pec_r"] == 53 and res["key_length"] == 52 and res["keys_match"]
 
 
@@ -370,6 +369,20 @@ def test_field_above_parameter_search_cap_exits_3_without_traceback():
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("p,n", [(1_000_000_000_000_000_009, 1), (2, 100_000_000)])
+def test_field_cap_is_checked_before_the_primality_test_and_the_power(monkeypatch, capsys, p, n):
+    # a prime p past the cap took trial division to sqrt(p) (tens of seconds),
+    # and n = 1e8 built 2^n, before either was compared with the cap
+    def no_trial_division(p):
+        raise AssertionError("the primality test ran before the size cap")
+
+    monkeypatch.setattr(fields, "_is_prime", no_trial_division)
+    assert cli.main(["verify", "--p", str(p), "--n", str(n)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"config error: field size {p}^{n} exceeds the desk-scale cap {2**16}\n"
 
 
 def test_attack_above_the_table_cap_reports_its_modulus(capsys):

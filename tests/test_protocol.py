@@ -287,10 +287,12 @@ def test_twirl_measures_with_probability_q_on_the_2_61_grid(monkeypatch, q):
         assert p == Fraction(math.ceil(Fraction(q) * 2**53), 2**53) == q
 
 
+@pytest.mark.statistical
 def test_twirl_law_chi_square(monkeypatch):
     """Independent runs at N = 2, 16, 32 and q = 0.01, 1/3, 0.84: the
     measured count (phase fixed to 1, so the label is the mask) and the
-    label histogram; the summed chi-square stays below its 0.999 quantile."""
+    label histogram; the summed chi-square stays below its 0.999 quantile.
+    False-failure probability 0.001 (chi-square approximation)."""
     count, stat, df = 1_000_000, 0.0, 0
     for N in (2, 16, 32):
         gf = make_field(2, N.bit_length() - 1)
@@ -407,12 +409,14 @@ def test_categorical_label_counts_the_cdf_entries_below_u(monkeypatch, name):
         assert label == bisect.bisect_right(steps, u), (w, s)
 
 
+@pytest.mark.statistical
 @pytest.mark.parametrize("name", CATEGORICAL_LAWS)
 def test_categorical_law_chi_square(name):
     """1M labels of each law: no label of zero mass is drawn, and the
     chi-square of the counts (cells expecting fewer than 5 pooled, a pool
     expecting fewer than 5 joined to the largest cell) stays below its
-    0.999 quantile."""
+    0.999 quantile.  False-failure probability 0.001 per law (chi-square
+    approximation); a drawn label of zero mass is a fault, not chance."""
     p = CATEGORICAL_LAWS[name]
     count = 1_000_000
     seed = list(CATEGORICAL_LAWS).index(name)
@@ -517,8 +521,11 @@ def test_sift_writes_a_over_the_label_buffer(monkeypatch, p, n, block):
     assert np.shares_memory(a, buf) and (buf.view(np.uint8)[: a.size] == a).all()
 
 
+@pytest.mark.statistical
 def test_sift_retention_statistics():
-    # each of the N + 1 sets keeps a 1/(N+1)^2 share of the transmissions
+    """Each of the N + 1 = 3 sets keeps a 1/(N+1)^2 share of the
+    transmissions, within 3 sd: false-failure probability at most
+    3 x 0.0027 = 0.0081 (normal approximation, union bound)."""
     L = 100_000
     rep = run_protocol(make_config(2, 1, L=L, rng_seed=77), ChannelModel())
     for count in rep.set_sizes:
@@ -591,8 +598,14 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
                                                       np.random.default_rng(5))
             est = estimate_qer(gf, set_idx, sizes, pool, test_counts, 0.9, np.random.default_rng(5))
         assert est.kept == n - test_counts.sum()
+        # swap-remove: the holes below kept, ascending, take the untested
+        # registers of the tail, ascending
+        order = np.arange(est.kept)
+        order[tested[: est.kept]] = est.kept + np.flatnonzero(~tested[est.kept :])
         for v, want in zip(pool, want_pool):
-            assert (v[: est.kept] == want[~tested]).all(), case
+            assert (v[: est.kept] == want[order]).all(), case
+            assert (np.bincount(v[: est.kept], minlength=4)
+                    == np.bincount(want[~tested], minlength=4)).all(), case
         assert est.e_hats == e_hats, case
         assert {"edges": first == last == 256, "thin": first == last < 256,
                 "redraw": first < last}[case]
@@ -600,12 +613,16 @@ def test_block_locator_matches_per_set_scan(monkeypatch, block):
             assert tested[[0, 6, 7, 63, 64, n - 1]].all()
 
 
+@pytest.mark.statistical
 @pytest.mark.parametrize("margin", [None, 0.0], ids=["first-draw", "redraw"])
 def test_tested_registers_are_uniform_within_each_set(monkeypatch, margin):
     """Over 2000 seeds, each set's tested registers are spread evenly over its
     members in pool order, in 50 bins of ranks: the chi-square statistic over
     the three sets, scaled for sampling without replacement, stays below its
-    0.999 quantile.  Without a margin, a good share of the seeds redraw."""
+    0.999 quantile: false-failure probability 0.001 (chi-square
+    approximation).  Without a margin, a good share of the seeds redraw (an
+    event count whose rate is not measured); with it, none does, which fails
+    with probability at most 2000 x 1e-12 (_SHORT_LOG's Chernoff bound)."""
     gf, _ = cached_params(2, 1)
     n, bins, seeds = 3_000, 50, 2_000
     set_idx = np.random.default_rng(31).integers(0, 3, n, dtype=np.uint8)
@@ -649,12 +666,16 @@ def rank_sampler(gf, set_idx, set_sizes, pool, test_counts, abort_threshold, rng
     return protocol.EstimateResult(e_hats, qer_estimator(e_hats), None, kept)
 
 
+@pytest.mark.statistical
 def test_thinning_has_the_rank_samplers_law(monkeypatch):
     """1000 seeds of one N = 4 worst-case run, each with both samplers on the
     same sifted pool: the paired differences of the five e_hats have
     chi-square (5 df) below its 0.999 quantile and the round-1 survivors'
     |z| < 3.29; each variance ratio lies inside the F test's two-sided 0.999
-    interval (per e_hat, split over the five sets)."""
+    interval (per e_hat, split over the five sets).  False-failure
+    probability at most 0.004 over the four assertions (chi-square, normal
+    and F approximations, union bound); no run comes near the 0.99 abort
+    threshold."""
     gf, _ = cached_params(2, 2)
     ch = worst_case_channel(gf, 0.6)
     cfg = make_config(2, 2, L=20_000, rng_seed=0, test_fraction=0.05, abort_threshold=0.99,
@@ -681,6 +702,79 @@ def test_thinning_has_the_rank_samplers_law(monkeypatch):
     assert f.ppf(0.0005, seeds - 1, seeds - 1) < ratio < f.ppf(0.9995, seeds - 1, seeds - 1)
 
 
+def order_preserving_estimate(gf, set_idx, set_sizes, pool, test_counts, abort_threshold, rng):
+    """estimate_qer's picks, from estimate_reference on the same generator,
+    with the tested registers removed in pool order, so the untested
+    registers keep their relative order: the reference order of the
+    swap-remove law test."""
+    tested, e_hats, _ = estimate_reference(set_idx, pool[0], test_counts, rng)
+    kept = set_idx.size - int(tested.sum())
+    for v in pool:
+        v[:kept] = v[~tested]
+    est = qer_estimator(e_hats)
+    reason = (f"estimated QER {est:.4f} exceeds threshold {abort_threshold:.4f}"
+              if est > abort_threshold else None)
+    return protocol.EstimateResult(e_hats, est, reason, kept)
+
+
+@pytest.mark.statistical
+def test_swap_remove_order_has_the_pool_orders_law(monkeypatch):
+    """1000 seeds of one N = 4 worst-case run (three rounds, r = 5), each run
+    twice: with estimate_qer's swap-remove order and with the pool order of
+    order_preserving_estimate.  The two take the same picks, so every field
+    through the sift's label counts, and the generator state after testing,
+    are equal bit for bit.  The fields read after testing move to a pairing
+    of the same law, and agree:
+
+    - survivors of each round: paired |z| below the two-sided 0.999 normal
+      quantile split over the three rounds (null failure rate at most 0.001,
+      by the union bound);
+    - the pooled post-EP label counts of the two sides: the 2 x K chi-square
+      of homogeneity below its 0.999 quantile (0.001 for independent sides;
+      the shared sifted pools make the sides agree more, not less);
+    - the phase residual rate: paired |z| below the two-sided 0.999 normal
+      quantile (0.001).
+
+    About 0.003 in all, each rate from the normal or chi-square
+    approximation at 1000 seeds."""
+    gf, _ = cached_params(2, 2)
+    ch = worst_case_channel(gf, 0.75)
+    cfg = make_config(2, 2, L=20_000, rng_seed=0, abort_threshold=0.99, ep_rounds=3, pec_r=5)
+    seeds = 1_000
+    pre = ("n_sifted", "set_sizes", "e_hats", "qer_estimate", "aborted", "empirical_sbmer",
+           "empirical_ber", "post_sift_label_counts")
+    sides = []
+    for sampler in (protocol.estimate_qer, order_preserving_estimate):
+        states = []
+
+        def estimate(*args, _sampler=sampler):
+            est = _sampler(*args)
+            states.append(args[-1].bit_generator.state)
+            return est
+
+        monkeypatch.setattr(protocol, "estimate_qer", estimate)
+        reps = [run_protocol(replace(cfg, rng_seed=seed), ch).to_dict() for seed in range(seeds)]
+        assert not any(r["aborted"] for r in reps)
+        labels = sum(np.rint(np.array(r["post_ep_label_dist"]) * r["survivors_per_round"][-1])
+                     for r in reps)
+        sides.append(([{k: r[k] for k in pre} for r in reps], states,
+                      np.array([r["survivors_per_round"] for r in reps], float), labels,
+                      np.array([r["phase_residual_rate"] for r in reps])))
+    (pre_new, states_new, surv_new, lab_new, res_new), (pre_old, states_old, surv_old, lab_old,
+                                                       res_old) = sides
+    assert json.dumps(pre_new) == json.dumps(pre_old)
+    assert states_new == states_old
+    d = surv_new - surv_old
+    z = d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(seeds))
+    assert (abs(z) < norm.ppf(1 - 0.001 / 2 / 3)).all(), z
+    table = np.array([lab_new, lab_old])
+    table = table[:, table.sum(axis=0) > 0]
+    want = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    assert ((table - want) ** 2 / want).sum() < chi2.ppf(0.999, table.shape[1] - 1)
+    d = res_new - res_old
+    assert abs(d.mean() / (d.std(ddof=1) / np.sqrt(seeds))) < norm.ppf(0.9995)
+
+
 def test_undersized_set_aborts_the_run():
     rep = run_protocol(make_config(2, 1, L=5, rng_seed=1, test_fraction=None, test_count=1),
                        ChannelModel())
@@ -698,7 +792,7 @@ def test_exhausted_pool_reports_the_rounds_run():
                       abort_threshold=0.9, ep_rounds=4)
     rep = run_protocol(cfg, ChannelModel(q=0.5))
     assert rep.aborted and rep.abort_reason == "register pool exhausted during purification"
-    assert rep.survivors_per_round == [4, 1]
+    assert rep.survivors_per_round == [2, 1]
     assert rep.ep_rounds == 2
 
 
@@ -774,7 +868,10 @@ def test_ep_round_noiseless_halves_pool():
     assert (bob2 == s2).all()
 
 
+@pytest.mark.statistical
 def test_ep_round_never_keeps_mismatched_pairs():
+    """The ledger stays sound, and the survivor count lies within 3 sd of
+    its mean: false-failure probability 0.0027 (normal approximation)."""
     gf, _ = cached_params(2, 2)
     rng = np.random.default_rng(6)
     n = 20_000
@@ -791,7 +888,11 @@ def test_ep_round_never_keeps_mismatched_pairs():
     assert abs(a2.size - (n / 2) * p_agree) < 3 * sigma
 
 
+@pytest.mark.statistical
 def test_ep_round_empirical_matches_recursion():
+    """One round on 400,000 worst-case labels: each of the four label rates
+    lies within 3 sd of ep_step's, false-failure probability at most
+    4 x 0.0027 = 0.011 (normal approximation, union bound)."""
     gf, _ = cached_params(2, 1)
     part = cached_partition(2, 1)
     d = worst_case_distribution(gf, part, 0.7)
@@ -889,7 +990,10 @@ def test_below_threshold_proceeds():
     assert rep.key_length > 0
 
 
+@pytest.mark.statistical
 def test_ep_survival_statistics():
+    """Round-1 survivors of one run lie within 4 sd of their mean:
+    false-failure probability 6.3e-5 (normal approximation)."""
     gf, _ = cached_params(2, 2)
     d = worst_case_distribution(gf, cached_partition(2, 2), 0.6)
     rep = run_protocol(make_config(2, 2, L=500_000, ep_rounds=1, pec_r=5),
@@ -901,7 +1005,11 @@ def test_ep_survival_statistics():
     assert abs(rep.survivors_per_round[0] - expect) < 4 * sigma
 
 
+@pytest.mark.statistical
 def test_post_ep_distribution_matches_recursion():
+    """Each of the four post-round label rates of one run lies within 4 sd of
+    ep_step's: false-failure probability at most 4 x 6.3e-5 = 2.5e-4
+    (normal approximation, union bound)."""
     gf, _ = cached_params(2, 1)
     d = worst_case_distribution(gf, cached_partition(2, 1), 0.7)
     rep = run_protocol(make_config(2, 1, L=1_000_000, ep_rounds=1, pec_r=9),
@@ -914,6 +1022,7 @@ def test_post_ep_distribution_matches_recursion():
         assert abs(emp[idx] - want[idx]) <= 4 * sigma + 1e-12
 
 
+@pytest.mark.statistical
 def test_adjacent_pairing_matches_recursion_across_seeds():
     """Over 200 seeds, round-1 survivors and the pooled post-round label
     histogram agree with ep_step: each chi-square statistic stays below
@@ -923,7 +1032,8 @@ def test_adjacent_pairing_matches_recursion_across_seeds():
     estimate, so at most 2 of the 200 may (3 or more have probability about
     3e-4).  The estimate reads only the tested registers, so the untested
     pool of every trial keeps its law, and the chi-squares run on the
-    trials that ran."""
+    trials that ran.  False-failure probability about 0.0023 in all: 0.001
+    per chi-square (approximation) and 3e-4 for the abort count."""
     gf, _ = cached_params(2, 2)
     d = worst_case_distribution(gf, cached_partition(2, 2), 0.75)
     cfg = make_config(2, 2, L=20_000, rng_seed=2024, ep_rounds=1, pec_r=1)
@@ -959,9 +1069,9 @@ def test_multi_block_report_is_pinned():
     # the pinned CLI reports fit in one or two blocks at N <= 8
     rep = run_protocol(n16_grouped_attack_config(), ChannelModel(q=0.84))
     assert rep.n_sifted > 3 * _kernels.BLOCK
-    assert rep.survivors_per_round == [44856, 9590, 4595, 2297] and rep.key_length == 91
+    assert rep.survivors_per_round == [44948, 9495, 4554, 2276] and rep.key_length == 91
     digest = hashlib.md5(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "e06a75812c104fa6bea8dbe614406c39"
+    assert digest == "fe0750f10b54b3c173659d0cc16e5d80"
 
 
 def test_peak_memory_per_sifted_register():
@@ -1071,9 +1181,11 @@ def test_field_setup_runs_once_per_field(monkeypatch, capsys):
     assert partition == tuple(cached_partition(2, 2)) and params == cached_params(2, 2)[1]
 
 
+@pytest.mark.statistical
 def test_qer_030_completes_with_low_mismatch_rate():
     # QER 0.30 sits below the N=2 tolerance of ~0.4146: the protocol must
     # complete on every seed with a digit mismatch rate under eps_I / ell
+    # (an event over 20 trials whose false-failure rate is not measured)
     gf, _ = cached_params(2, 1)
     ch = worst_case_channel(gf, 0.7)
     cfg = make_config(2, 1, L=1_000_000, ep_rounds=4, pec_r=25)
