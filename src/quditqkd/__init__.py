@@ -33,7 +33,7 @@ from .rates import (
     eve_ber,
     intercept_resend_sbmer_ceiling,
     make_error_distribution,
-    pec_phase_bound,
+    pec_bound_terms,
     qer_estimator,
     thresholds,
     worst_case_distribution,
@@ -68,7 +68,7 @@ __all__ = [
     "worst_case_distribution",
     "ep_step",
     "ep_closed_form",
-    "pec_phase_bound",
+    "pec_bound_terms",
     "thresholds",
     "qer_estimator",
     "eve_ber",

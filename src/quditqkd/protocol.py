@@ -73,8 +73,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import ConfigError, InvariantViolation
 from .fields import GF
-from .rates import (PecBoundTerms, ep_closed_form, pec_bound_terms, qer_estimator, thresholds,
-                    worst_case_distribution)
+from .rates import (PecBoundTerms, _bounds_apply, ep_closed_form, pec_bound_terms, qer_estimator,
+                    thresholds, worst_case_distribution)
 from .toperator import SymplecticParams, choose_M, conjugation_tables, equiv_classes, find_char_poly
 
 
@@ -407,9 +407,10 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
         a[blk] = pair  # the truncating copy keeps the low byte
         np.right_shift(pair, 8, out=b[blk], casting="unsafe")
         raw_counts += np.bincount(idx, minlength=(N + 1) * N * N)
-    codes = (ca.astype(np.intp) * N + cb).ravel()  # sifted label of each flat index
-    counts = np.bincount(codes, raw_counts, N * N).astype(np.int64)  # float sums exact < 2**53
-    return a, b, raw_counts.reshape(N + 1, N * N).sum(axis=1), counts
+    raw_counts = raw_counts.reshape(N + 1, N, N)
+    counts = np.zeros((N, N), np.int64)  # every raw count, at its sifted label
+    np.add.at(counts, (ca, cb), raw_counts)
+    return a, b, raw_counts.sum(axis=(1, 2)), counts.ravel()
 
 
 @dataclass
@@ -638,9 +639,7 @@ def run_protocol(config: ProtocolConfig, channel: ChannelModel) -> SimReport:
 
     # -- purification rounds, until r is chosen ---------------------------
     e00_eff = 1.0 - est.qer_estimate - config.delta
-    # residual bounds are derived for p = 2 inside the dominance region only
-    worst = (worst_case_distribution(gf, partition, e00_eff)
-             if gf.p == 2 and 1.0 / (N + 2) + 1e-9 < e00_eff < 1.0 else None)
+    worst = worst_case_distribution(gf, partition, e00_eff) if _bounds_apply(gf, e00_eff) else None
     rounds = config.ep_rounds if config.ep_rounds is not None else config.ep_rounds_max
     k = 0
     while True:
@@ -698,8 +697,5 @@ def run_trials(config: ProtocolConfig, channel: ChannelModel, trials: int,
     configs = [replace(config, rng_seed=trial_seed(config.rng_seed, i)) for i in range(trials)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(workers, cpus)
-    if workers <= 1:
-        return [run_protocol(c, channel) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, cpus)) as pool:
         return list(pool.map(lambda c: run_protocol(c, channel), configs))

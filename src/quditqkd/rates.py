@@ -170,7 +170,7 @@ class PecBounds:
 
 @dataclass(frozen=True)
 class PecBoundTerms:
-    """The r-free part of pec_phase_bound for one (d_k, e00_initial, k):
+    """The r-free terms of the residual bounds for one (d_k, e00_initial, k):
     the spin error rate of d_k, the prefactor N - 1 and the base 1 - rho/2
     (0 at e_00 = 1, where there are no phase errors)."""
 
@@ -185,24 +185,15 @@ class PecBoundTerms:
         return PecBounds(spin=r * self.spin_rate, phase=self.prefactor * self.base ** r)
 
 
+def _bounds_apply(gf: GF, e00: float) -> bool:
+    """Whether the residual bounds are derived at (gf, e00): p = 2 and e00 in
+    the dominance region 1/(N+2) < e00 <= 1."""
+    return gf.p == 2 and 1.0 / (gf.N + 2) < e00 <= 1.0
+
+
 def pec_bound_terms(d_k: ErrorDistribution, e00_initial: float, k: int) -> PecBoundTerms:
-    """The r-free terms of pec_phase_bound(d_k, e00_initial, k, r)."""
-    gf = d_k.gf
-    if gf.p != 2:
-        raise ValueError("phase bound is only derived for p = 2")
-    N = gf.N
-    if e00_initial <= 1.0 / (N + 2):
-        raise ValueError(f"e00 = {e00_initial} outside the dominance region (> 1/(N+2))")
-    base = 0.0
-    if e00_initial < 1.0:
-        x = (1.0 - e00_initial) / (N + 1)
-        rho = ((e00_initial - x) / (e00_initial + x)) ** (2 ** (k + 1))
-        base = 1.0 - rho / 2.0
-    return PecBoundTerms(spin_rate=d_k.spin_error_rate(), prefactor=N - 1, base=base)
-
-
-def pec_phase_bound(d_k: ErrorDistribution, e00_initial: float, k: int, r: int) -> PecBounds:
-    """Residual-error bounds after [r,1,r] majority voting.
+    """Residual-error bounds after k purification rounds and [r,1,r] majority
+    voting, as r-free terms: pec_bound_terms(d_k, e00_initial, k).at(r).
 
     spin:  r times the current (post-k-EP) spin error rate.
     phase: (N-1) [1 - rho/2]^r with rho the 2^(k+1) power of the
@@ -210,14 +201,21 @@ def pec_phase_bound(d_k: ErrorDistribution, e00_initial: float, k: int, r: int) 
            form with the tightening factor t set to 1).  At e_00 = 1
            there are no phase errors at all and the bound is 0.
 
-    Only the powers of r depend on r: pec_bound_terms holds the rest, so a
-    search over r builds it once per (d_k, e00_initial, k) and evaluates
-    PecBoundTerms.at for each r, and this function is that evaluation.
-
+    Only the powers of r depend on r, so a search over r builds the terms
+    once per (d_k, e00_initial, k) and evaluates PecBoundTerms.at for each r.
     The bound formula is valid for any r >= 1 and is monotone decreasing
     in r; the majority-vote operation itself additionally requires odd r.
+    The bounds are derived only where _bounds_apply holds.
     """
-    return pec_bound_terms(d_k, e00_initial, k).at(r)
+    N = d_k.gf.N
+    if not _bounds_apply(d_k.gf, e00_initial):
+        raise ValueError(f"residual bounds need p = 2 and 1/(N+2) < e00 <= 1, got e00 = {e00_initial}")
+    base = 0.0
+    if e00_initial < 1.0:
+        x = (1.0 - e00_initial) / (N + 1)
+        rho = ((e00_initial - x) / (e00_initial + x)) ** (2 ** (k + 1))
+        base = 1.0 - rho / 2.0
+    return PecBoundTerms(spin_rate=d_k.spin_error_rate(), prefactor=N - 1, base=base)
 
 
 @dataclass(frozen=True)
@@ -256,6 +254,7 @@ def qer_estimator(e_hats) -> float:
 Q_LOW = 0.3 * (5.0 - SQRT5)                   # ~ 0.8292
 Q_HIGH = (68.0 / 1335.0) * (19.0 - SQRT5)     # ~ 0.8539
 SIX_STATE_BER_LIMIT = (5.0 - SQRT5) / 10.0    # ~ 0.2764
+_MAX_EVE_BER_DEGREE = 507  # eve_ber's denominator 2 N n (N + 1) is a float, < 2^1024
 
 
 def eve_ber(N: int, q: float) -> float:
@@ -264,6 +263,8 @@ def eve_ber(N: int, q: float) -> float:
     n = N.bit_length() - 1
     if N != 1 << n or N < 2:
         raise ConfigError("the qubit-group attack needs N = 2^n")
+    if n > _MAX_EVE_BER_DEGREE:
+        raise ConfigError(f"the attack rate overflows a float above n = {_MAX_EVE_BER_DEGREE}")
     return q * (N - 1) * (N * n + 2) / (2.0 * N * n * (N + 1))
 
 

@@ -15,7 +15,7 @@ from quditqkd.rates import (
     ep_closed_form,
     ep_step,
     make_error_distribution,
-    pec_phase_bound,
+    pec_bound_terms,
     thresholds,
     worst_case_distribution,
 )
@@ -213,7 +213,7 @@ def test_acceptance_6_monte_carlo_vs_analytics(p, n, e00):
         gf=gf, L=1_000_000, rng_seed=819, test_fraction=0.01, ep_rounds=k, pec_r=r
     )
     dk = ep_closed_form(d, k)
-    phase_cap = pec_phase_bound(dk, e00, k, r).phase
+    phase_cap = pec_bound_terms(dk, e00, k).at(r).phase
     ok = 0
     for trial in run_trials(cfg, channel, 200):
         assert not trial.aborted

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "TOperator", "ThresholdTable", "VerificationReport", "attack_calculus", "build_T",
     "choose_M", "ep_closed_form", "ep_step", "equiv_classes", "estimate_qer", "eve_ber",
     "find_char_poly", "intercept_resend_sbmer_ceiling", "locc2_ep_round",
-    "make_error_distribution", "make_field", "pec_majority", "pec_phase_bound",
+    "make_error_distribution", "make_field", "pec_bound_terms", "pec_majority",
     "qer_estimator", "run_protocol", "run_trials", "sift", "thresholds", "verify_T",
     "worst_case_distribution",
 ]

@@ -952,6 +952,16 @@ def test_noiseless_run_completes():
     assert rep.analytic_target_met
 
 
+def test_zero_error_run_at_delta_zero_gets_the_zero_bound():
+    # e00_eff = 1 - 0 - 0 = 1 exactly lies in the bounds' domain, where both
+    # residual bounds are 0: the first r meets the target before any round
+    rep = run_protocol(make_config(2, 2, L=200_000, rng_seed=1, delta=0.0), ChannelModel())
+    assert rep.qer_estimate == 0.0 and not rep.aborted
+    assert rep.ep_rounds == 0 and rep.pec_r == 1 and rep.analytic_target_met is True
+    assert rep.analytic_spin_bound == 0.0 and rep.analytic_phase_bound == 0.0
+    assert rep.keys_match and rep.key_length == 39497
+
+
 def test_noiseless_run_qutrit():
     rep = run_protocol(
         make_config(3, 1, L=10_000, abort_threshold=0.5), ChannelModel()
@@ -1088,6 +1098,21 @@ def test_peak_memory_per_sifted_register():
         tracemalloc.stop()
     assert not rep.aborted and rep.keys_match
     assert peak / rep.n_sifted <= 6.3
+
+
+def test_sift_peak_memory_at_n251():
+    # N = 251 sifts a small pool through (N+1)N^2-entry count arrays, 127 MB
+    # each in intp: the traced peak read 323 MB (451 MB when the sifted label
+    # counts came from a float-weighted bincount over one more such array)
+    argv = ["simulate", "--p", "251", "--n", "1", "--L", "3000000", "--channel", "pauli-iid",
+            "--qer", "0.1", "--abort-threshold", "0.5", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 360e6  # the measured 323 MB plus 11%
 
 
 def _traced_peak(L):
@@ -1245,7 +1270,7 @@ def test_run_trials_caps_threads_at_cpu_count(monkeypatch):
     capped = run_trials(cfg, ChannelModel(), 3, workers=10_000)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
     unknown = run_trials(cfg, ChannelModel(), 3, workers=10_000)
-    assert seen == [3, 2]  # one CPU, or None counted as one: no pool at all
+    assert seen == [1, 1, 3, 2, 1]  # one CPU, or None counted as one: a one-thread pool
     runs = [serial, pinned, three, capped, unknown]
     assert all([r.to_dict() for r in run] == [r.to_dict() for r in serial] for run in runs)
 

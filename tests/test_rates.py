@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import cached_params, cached_partition
+from quditqkd.exceptions import ConfigError
 from quditqkd.protocol import _r_grid
 from quditqkd.rates import (
     ErrorDistribution,
+    _bounds_apply,
     attack_calculus,
     ep_closed_form,
     ep_step,
@@ -16,7 +18,6 @@ from quditqkd.rates import (
     intercept_resend_sbmer_ceiling,
     make_error_distribution,
     pec_bound_terms,
-    pec_phase_bound,
     qer_estimator,
     thresholds,
     worst_case_distribution,
@@ -274,7 +275,7 @@ def test_e00_dominates_row_zero():
 def test_pec_bounds_noiseless():
     gf, _ = cached_params(2, 2)
     d = make_error_distribution(gf, cached_partition(2, 2), {(0, 0): 1.0})
-    b = pec_phase_bound(d, 1.0, k=0, r=1)
+    b = pec_bound_terms(d, 1.0, k=0).at(1)
     assert b.spin == 0.0 and b.phase == 0.0
 
 
@@ -282,7 +283,7 @@ def test_pec_phase_bound_value():
     gf, _ = cached_params(2, 2)
     part = cached_partition(2, 2)
     d1 = ep_closed_form(worst_case_distribution(gf, part, 0.6), 1)
-    got = pec_phase_bound(d1, 0.6, k=1, r=50)
+    got = pec_bound_terms(d1, 0.6, k=1).at(50)
     rho = (0.52 / 0.68) ** 4
     assert abs(got.phase - 3 * (1 - rho / 2) ** 50) < 1e-15
     assert abs(got.phase - 2.6e-4) < 1.5e-5
@@ -294,14 +295,14 @@ def test_pec_phase_bound_monotone_in_r():
     d = ep_closed_form(worst_case_distribution(gf, part, 0.5), 2)
     prev = None
     for r in (1, 3, 5, 9, 21):
-        cur = pec_phase_bound(d, 0.5, k=2, r=r).phase
+        cur = pec_bound_terms(d, 0.5, k=2).at(r).phase
         if prev is not None:
             assert cur < prev
         prev = cur
 
 
-def _pec_phase_bound_reference(d_k, e00_initial, k, r):
-    """pec_phase_bound as one expression per bound, before its r-free split."""
+def _residual_bounds_reference(d_k, e00_initial, k, r):
+    """The residual bounds as one expression per bound, before their r-free split."""
     N = d_k.gf.N
     spin = r * d_k.spin_error_rate()
     if e00_initial >= 1.0:
@@ -324,23 +325,39 @@ def test_pec_bound_terms_evaluate_bit_for_bit(n):
             d_k = ep_closed_form(wc, k)
             terms = pec_bound_terms(d_k, e00, k)
             for r in grid:
-                want = _pec_phase_bound_reference(d_k, e00, k, r)
+                want = _residual_bounds_reference(d_k, e00, k, r)
                 b = terms.at(r)
                 assert (b.spin, b.phase) == want, (e00, k, r)
-                assert pec_phase_bound(d_k, e00, k, r) == b
 
 
 def test_pec_bounds_validate_inputs():
     gf, _ = cached_params(3, 1)
     d = make_error_distribution(gf, cached_partition(3, 1), {(0, 0): 1.0})
     with pytest.raises(ValueError):
-        pec_phase_bound(d, 1.0, 0, 1)  # p != 2
+        pec_bound_terms(d, 1.0, 0).at(1)  # p != 2
     gf2, _ = cached_params(2, 1)
     d2 = worst_case_distribution(gf2, cached_partition(2, 1), 0.2)
     with pytest.raises(ValueError):
-        pec_phase_bound(d2, 0.2, 0, 1)  # e00 below the dominance region
+        pec_bound_terms(d2, 0.2, 0).at(1)  # e00 below the dominance region
     with pytest.raises(ValueError, match="r must be >= 1"):
-        pec_phase_bound(d2, 0.5, 0, 0)
+        pec_bound_terms(d2, 0.5, 0).at(0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 4), (3, 1)])
+def test_bounds_domain_is_what_pec_bound_terms_accepts(p, n):
+    gf, _ = cached_params(p, n)
+    d = make_error_distribution(gf, cached_partition(p, n), {(0, 0): 1.0})
+    edge = 1.0 / (gf.N + 2)
+    cases = {edge: False, math.nextafter(edge, 0.0): False, math.nextafter(edge, 1.0): True,
+             0.5: True, 1.0: True, math.nextafter(1.0, 2.0): False}
+    for e00, inside in cases.items():
+        want = inside and p == 2
+        assert _bounds_apply(gf, e00) is want, e00
+        if want:
+            assert pec_bound_terms(d, e00, 0).at(1).spin == 0.0
+        else:
+            with pytest.raises(ValueError, match="need p = 2"):
+                pec_bound_terms(d, e00, 0)
 
 
 # ---------------------------------------------------------------
@@ -435,6 +452,19 @@ def test_attack_interval_endpoints_are_break_even():
     # upper endpoint: the N=16 attack rate equals the N=16 tolerance
     q_hi = (68 / 1335) * (19 - SQRT5)
     assert abs(eve_ber(16, q_hi) - thresholds(16).e_ber) < 1e-12
+
+
+def test_eve_ber_is_finite_or_refused():
+    # the closed form as written, bit for bit, wherever attack can reach it
+    for n in range(1, 17):
+        N = 2**n
+        for q in np.linspace(0.0, 1.0, 101).tolist() + [0.84, 0.3 * (5 - SQRT5)]:
+            assert eve_ber(N, q) == q * (N - 1) * (N * n + 2) / (2.0 * N * n * (N + 1))
+    assert math.isfinite(eve_ber(2**507, 1.0)) and math.isfinite(eve_ber(2**507, 0.84))
+    # past n = 507 the float denominator overflows (nan up to n = 1014, then OverflowError)
+    for n in (508, 510, 1014, 1100):
+        with pytest.raises(ConfigError, match="above n = 507"):
+            eve_ber(2**n, 0.84)
 
 
 def test_intercept_resend_ceilings():
