@@ -2,13 +2,13 @@
 one addition of GF(N) element arrays, the purification round, the group
 digit sums and the plurality vote.
 
-gf_add and the purification round walk their input a BLOCK at a time, so
-their index and mask buffers stay cache-sized whatever the pool size.  The
-round's blocks hold an even number of registers (an odd BLOCK is rounded
-up), so a pair never straddles two blocks; each block's surviving pairs
-are found by comparing the two bytes of each 16-bit word of spin labels,
-gathered from the block's contiguous registers, and joined to the previous
-blocks' in pool order, one output array at a time."""
+Every pass over the pool walks it in the slices of blocks(), so index and
+mask buffers stay cache-sized whatever the pool size.  The round's blocks
+hold an even number of registers (an odd BLOCK is rounded up), so a pair
+never straddles two blocks; each block's surviving pairs are found by
+comparing the two bytes of each 16-bit word of spin labels, gathered from
+the block's contiguous registers, and joined to the previous blocks' in
+pool order, one output array at a time."""
 
 from __future__ import annotations
 
@@ -21,23 +21,33 @@ USING_NUMBA = False
 # Registers drawn, looked up, counted or moved at a time, cache-sized: a
 # block's 1 MB intp index buffer (the sift's flat index, gf_add's table
 # index, the pauli-iid draw's bucket index) fits in a 2 MB L2 cache, where
-# a 2^18 block's 2 MB would fill it.
+# a 2^18 block's 2 MB would fill it.  A pool under 2^18 is one block all the
+# same (blocks): at 200k registers no stage runs slower for it.
 BLOCK = 1 << 17
+
+
+def blocks(n, unit=1):
+    """The slices in which a pass walks a pool of n registers, in order:
+    BLOCK long, rounded up to whole units (4 bytes per 32-bit output drawn,
+    2 registers per pair), the last cut at n.  A pool under 2 * BLOCK is one
+    block, so a trial-sized pool makes each NumPy call once, not twice."""
+    step = max(n, 1) if n < 2 * BLOCK else BLOCK + -BLOCK % unit
+    return [slice(i, min(i + step, n)) for i in range(0, max(n, 1), step)]
 
 
 def gf_add(add_t, x, y, out=None):
     """x + y over GF(N), for the field's (N, N) uint8 add table.  In
     characteristic 2 (1 + 1 = 0) this is the XOR of the n-bit encodings.
-    Otherwise it is a flat lookup of the table at x*N + y, a BLOCK at a time
+    Otherwise it is a flat lookup of the table at x*N + y, a block at a time
     through one intp index buffer; every index is in range by construction,
     and mode="clip" writes to out unbuffered."""
     if add_t[1, 1] == 0:
         return np.bitwise_xor(x, y, out=out)
     out = np.empty(x.size, np.uint8) if out is None else out
-    buf = np.empty(min(BLOCK, x.size), np.intp)
-    for start in range(0, x.size, BLOCK):
-        blk = slice(start, start + BLOCK)
-        idx = buf[: x[blk].size]
+    walk = blocks(x.size)
+    buf = np.empty(walk[0].stop, np.intp)
+    for blk in walk:
+        idx = buf[: blk.stop - blk.start]
         np.multiply(x[blk], add_t.shape[0], out=idx, dtype=np.intp)
         idx += y[blk]
         np.take(add_t.ravel(), idx, out=out[blk], mode="clip")
@@ -53,11 +63,8 @@ def gf_add(add_t, x, y, out=None):
 # take on a strided view would copy it first.
 
 def ep_round(a, b, s, bob, add_t):
-    step = BLOCK + BLOCK % 2
-    paired = a.size - a.size % 2
     parts = ([], [], [], [])  # each output's blocks
-    for start in range(0, max(paired, 1), step):  # an empty pool makes one empty block
-        blk = slice(start, min(start + step, paired))
+    for blk in blocks(a.size - a.size % 2, 2):  # an empty pool is one empty block
         ab = a[blk]
         pair = ab.view(np.uint16)  # registers 2j and 2j+1 as the bytes of one word
         ctl = np.flatnonzero((pair & 0xFF) == (pair >> 8))

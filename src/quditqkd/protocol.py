@@ -132,40 +132,49 @@ def _raw_u32(rng: np.random.Generator, k: int) -> np.ndarray:
     return out
 
 
-def _uint8_below(rng: np.random.Generator, R: int, count: int) -> np.ndarray:
+def _uint8_below(rng: np.random.Generator, R: int, count: int, scale=None) -> np.ndarray:
     """rng.integers(0, R, size=count, dtype=np.uint8) for 1 <= R <= 256, bit
-    for bit, leaving rng in the same state, but vectorised.
+    for bit, leaving rng in the same state, but vectorised.  Given *scale*,
+    an array of count entries, each variate is multiplied into its entry
+    instead, a draw at a time, and scale is returned.
 
     NumPy draws each variate from the next little-endian byte of successive
     32-bit outputs, starting a fresh output per call, by Lemire's rule
     (ACM TOMACS 29(1), 2019): m = byte * R, rejected while m & 255 is below
-    (256 - R) % R, else m >> 8.  Here each draw takes ceil(d / 4) outputs for
-    the d variates still missing, at most a _kernels.BLOCK of them: NumPy
-    must read at least that many to fill them, so no output is taken that
-    NumPy would not take, and only the last draw's surplus is dropped, as
-    NumPy drops the rest of its last output.  The rule is an exact uniform sampler whatever
-    NumPy's own algorithm, so the law of the draws never depends on it.
+    (256 - R) % R, else m >> 8.  Here each draw takes ceil(w / 4) outputs,
+    for the d variates still missing and w the lesser of d and the length of
+    the pool's blocks (_kernels.blocks): NumPy must read at least ceil(d / 4)
+    to fill them, so no output is taken that NumPy would not take, and only
+    the last draw's surplus is dropped, as NumPy drops the rest of its last
+    output.  The rule is an exact uniform sampler whatever NumPy's own
+    algorithm, so the law of the draws never depends on it.
     """
     if not 1 <= R <= 256:
         raise ValueError(f"8-bit variates cover 1 <= R <= 256 values, got R = {R}")
-    if R == 1:
-        return np.zeros(count, np.uint8)  # NumPy draws nothing for a single value
-    out = np.empty(count, np.uint8)
+    out = np.empty(count, np.uint8) if scale is None else scale
+    if R == 1:  # NumPy draws nothing for a single value
+        out[...] = 0
+        return out
     threshold = (256 - R) % R  # 0 when R divides 256: nothing is rejected
     shift = 9 - R.bit_length()  # m >> 8 = byte >> shift when R = 2^(8 - shift)
+    step = _kernels.blocks(count, 4)[0].stop
     filled = 0
     while filled < count:
-        byte = _raw_u32(rng, -(-min(count - filled, _kernels.BLOCK) // 4)).view(np.uint8)
+        byte = _raw_u32(rng, -(-min(step, count - filled) // 4)).view(np.uint8)
         if threshold == 0:
             vals = byte[: count - filled]
-            np.right_shift(vals, shift, out=out[filled : filled + vals.size])
+            vals >>= shift
         else:
             m = byte.astype(np.uint16)
             m *= R
             keep = m.astype(np.uint8) >= threshold  # m & 255
             m >>= 8
             vals = m.astype(np.uint8)[keep][: count - filled]
-            out[filled : filled + vals.size] = vals
+        dst = out[filled : filled + vals.size]
+        if scale is None:
+            dst[...] = vals
+        else:
+            dst *= vals
         filled += vals.size
     return out
 
@@ -208,12 +217,12 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np
     C *= 2 ** bits // nb
     # C_j <= w exactly when ceil(C_j) <= w, never for C_j > 2^bits - 1
     keys = np.ceil(C[C <= 2**bits - 1]).astype(word)
-    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per block
-    idx = np.empty(min(step, out.size), np.intp)
+    walk = _kernels.blocks(out.size, 4)  # whole 32-bit outputs per block
+    idx = np.empty(walk[0].stop, np.intp)
 
-    def fill(start):
+    def fill(blk):
         # one block's labels; returns the positions and words left to refine
-        lab = out[start : start + step]
+        lab = out[blk]
         w = _raw_u32(rng, -(-lab.size * bits // 32)).view(word)[: lab.size]
         ib = idx[: lab.size]
         np.right_shift(w, shift, out=ib)
@@ -225,10 +234,9 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np
         gap = C[lab[at]]
         gap -= w
         inside = np.flatnonzero(gap < 1)  # C[j] < w + 1
-        return at[inside] + start, w[inside]
+        return at[inside] + blk.start, w[inside]
 
-    parts = [(np.empty(0, np.intp), np.empty(0, word))]
-    parts += [fill(start) for start in range(0, out.size, step)]
+    parts = [fill(blk) for blk in walk]
     pos, w = (np.concatenate(part) for part in zip(*parts))
     w = w.astype(float)  # w + 1 is exact
     v = rng.random(pos.size)
@@ -258,7 +266,8 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     exact (Sterbenz).  P(measured) is ceil(q 2^61) / 2^61, where
     rng.random(count) < q gives ceil(q 2^53) / 2^53: they differ by less
     than 2^-53, and are equal for q >= 1/2.  The measured registers then
-    take the uniform phase c from _uint8_below.
+    take the uniform phase c from _uint8_below, multiplied into the 0/1
+    mask a draw at a time.
     """
     N = gf.N
     dtype = np.min_scalar_type(N * N - 1)
@@ -270,17 +279,15 @@ def sample_raw_labels(channel: ChannelModel, gf: GF, count: int, rng: np.random.
     # measurement twirl: raw label (0, c), c uniform over GF(N)
     t = math.floor(256 * channel.q)
     out = np.empty(count, dtype)
-    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per block
-    ties = [np.empty(0, np.intp)]
-    for start in range(0, count, step):
-        blk = out[start : start + step]
-        byte = _raw_u32(rng, -(-blk.size // 4)).view(np.uint8)[: blk.size]
-        np.less(byte, t, out=blk.view(bool) if blk.itemsize == 1 else blk)  # 1 where measured
-        ties.append(np.flatnonzero(byte == t) + start)
+    ties = []
+    for blk in _kernels.blocks(count, 4):  # whole 32-bit outputs per block
+        mask = out[blk]
+        byte = _raw_u32(rng, -(-mask.size // 4)).view(np.uint8)[: mask.size]
+        np.less(byte, t, out=mask.view(bool) if mask.itemsize == 1 else mask)  # 1 where measured
+        ties.append(np.flatnonzero(byte == t) + blk.start)
     ties = np.concatenate(ties)
     out[ties] = rng.random(ties.size) < 256 * channel.q - t
-    out *= _uint8_below(rng, N, count)
-    return out
+    return _uint8_below(rng, N, count, scale=out)
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +400,12 @@ def sift(gf: GF, params: SymplecticParams, set_idx, labels):
     # the flat (set, raw a, raw b) index is computed in the narrowest dtype
     # that holds it, where the multiply and add are cheapest, then widened
     # once into an intp buffer, so neither np.take nor bincount copies an index
-    buf = np.empty(min(_kernels.BLOCK, set_idx.size), np.intp)
+    walk = _kernels.blocks(set_idx.size)
+    buf = np.empty(walk[0].stop, np.intp)
     narrow_buf = np.empty(buf.size, np.min_scalar_type((N + 1) * N * N - 1))
     pair_buf = np.empty(buf.size, np.uint16)
-    for start in range(0, set_idx.size, _kernels.BLOCK):
-        blk = slice(start, start + _kernels.BLOCK)
-        m = set_idx[blk].size
+    for blk in walk:
+        m = blk.stop - blk.start
         idx, narrow, pair = buf[:m], narrow_buf[:m], pair_buf[:m]
         np.multiply(set_idx[blk], N * N, out=narrow, dtype=narrow.dtype)
         narrow += labels[blk]
@@ -469,24 +476,24 @@ def estimate_qer(gf: GF, set_idx, set_sizes, pool, test_counts, abort_threshold:
         if size < want:
             return EstimateResult([], 0.0, f"set {i} holds {size} particles, cannot test {want}", 0)
     n = set_idx.size
-    step = _kernels.BLOCK + -_kernels.BLOCK % 4  # whole 32-bit outputs per chunk
     k = _thinning_level(set_sizes, test_counts)
     while True:
-        marked, marks = [], np.zeros(gf.N + 1, np.intp)
-        for start in range(0, n, step):
-            m = min(step, n - start)
+        marked, marked_set, marks = [], [], np.zeros(gf.N + 1, np.intp)
+        for blk in _kernels.blocks(n, 4):  # whole 32-bit outputs per block
+            m = blk.stop - blk.start
             pos = np.flatnonzero(_raw_u32(rng, -(-m // 4)).view(np.uint8)[:m] < k)
-            pos += start
+            pos += blk.start
             marked.append(pos)
-            marks += np.bincount(set_idx[pos], minlength=gf.N + 1)
+            marked_set.append(set_idx[pos])
+            marks += np.bincount(marked_set[-1], minlength=gf.N + 1)
         if (marks >= test_counts).all():
             break
         k = min(256, 2 * k)
-    marked = np.concatenate(marked)
-    marked_set = set_idx[marked]
+    marked, marked_set = np.concatenate(marked), np.concatenate(marked_set)
+    # each set's marked members, ascending, as consecutive runs of one stable sort
+    by_set = np.split(marked_set.argsort(kind="stable"), marks.cumsum()[:-1])
     pick = np.zeros(marked.size, bool)
-    for i, want in enumerate(test_counts.tolist()):
-        members = np.flatnonzero(marked_set == i)
+    for members, want in zip(by_set, test_counts.tolist()):
         pick[members[rng.choice(members.size, size=want, replace=False)]] = True
     tested, owner = marked[pick], marked_set[pick]  # ascending, as the marks are
     del marked, marked_set

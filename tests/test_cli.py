@@ -304,6 +304,27 @@ def test_whole_simulate_stdout_is_pinned(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+# md5 of the whole stdout of the simulate argvs of the benchmark's sim-large
+# and trials-small ops (perfbench/workloads.py) at seed 7, recorded when the
+# tested registers first left the pool by swap-remove; the trials report is
+# the same on one worker and on two
+SIM_LARGE = ("--p 2 --n 4 --L 150000000 --channel grouped-attack --q 0.84 --delta 0.0065 "
+             "--ep-rounds 4 --pec-r 25 --test-count 5190 --seed 7")
+TRIALS_SMALL = "--p 2 --n 2 --L 1000000 --channel pauli-iid --qer 0.4 --trials 20 --seed 7"
+PINNED_BENCHMARK_STDOUT = {
+    "sim-large": (SIM_LARGE, "82eb875b7ba450d83a64762cac472d61"),
+    "trials-small, one worker": (f"{TRIALS_SMALL} --workers 1", "c168796660fa0954d862a04202c78b70"),
+    "trials-small, two workers": (f"{TRIALS_SMALL} --workers 2", "c168796660fa0954d862a04202c78b70"),
+}
+
+
+@pytest.mark.parametrize("op", PINNED_BENCHMARK_STDOUT)
+def test_benchmark_stdout_is_pinned(capsys, op):
+    argv, digest = PINNED_BENCHMARK_STDOUT[op]
+    assert cli.main(["simulate", *argv.split()]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # one run of each command; simulate on each channel kind, trials included
 SCALAR_FREE_RUNS = [
     "verify --p 2 --n 4", "verify --p 7 --n 2", "build-t --p 5 --n 1", "classes --p 3 --n 2",

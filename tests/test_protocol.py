@@ -303,7 +303,8 @@ def test_twirl_law_chi_square(monkeypatch):
             want[0] += count * (1 - q)
             stat += float(((np.bincount(lab, minlength=N) - want) ** 2 / want).sum())
             with monkeypatch.context() as m:
-                m.setattr(protocol, "_uint8_below", lambda rng, R, n: np.ones(n, np.uint8))
+                # phase 1 everywhere: the mask is left as the label
+                m.setattr(protocol, "_uint8_below", lambda rng, R, n, scale: scale)
                 hits = int(sample_raw_labels(ChannelModel(q=q), gf, count,
                                              np.random.default_rng((*seed, 1))).sum())
             stat += (hits - count * q) ** 2 / (count * q * (1 - q))
@@ -1147,6 +1148,11 @@ def test_peak_memory_slope_per_sifted_register():
     # N = 17 draws uint16 flat labels
     pytest.param(17, 1, "pauli-iid", 997, id="pauli-iid-N17"),
     pytest.param(17, 1, "pauli-iid", 7, id="pauli-iid-N17-block-7"),
+    # the twirl at odd p: a phase of N values, drawn with rejection
+    pytest.param(3, 1, "intercept-resend", 997, id="intercept-resend-N3"),
+    pytest.param(3, 1, "intercept-resend", 7, id="intercept-resend-N3-block-7"),
+    pytest.param(17, 1, "intercept-resend", 997, id="intercept-resend-N17"),
+    pytest.param(17, 1, "intercept-resend", 7, id="intercept-resend-N17-block-7"),
 ])
 def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
     # blocked twirl draws and the blocked sift keep every field
@@ -1157,8 +1163,62 @@ def test_block_size_leaves_reports_unchanged(monkeypatch, p, n, kind, block):
         ch = ChannelModel(q=0.3)
     cfg = make_config(p, n, L=50_000, ep_rounds=1, pec_r=5, abort_threshold=None if p == 2 else 0.5)
     want = run_protocol(cfg, ch).to_dict()
+    assert not want["aborted"]
     monkeypatch.setattr(_kernels, "BLOCK", block)
     assert run_protocol(cfg, ch).to_dict() == want
+
+
+def _every_block_walk(size):
+    """Each pass that walks _kernels.blocks, on a pool of *size* registers
+    from fixed seeds: its outputs and the state of each generator it read."""
+    gf5, (gf4, params4) = make_field(5, 1), cached_params(2, 2)
+    rng = np.random.default_rng(size)
+    x, y, a, b, s = rng.integers(0, 5, (5, size), dtype=np.uint8)
+    out = [_kernels.gf_add(gf5.add_table, x, y),
+           *_kernels.ep_round(a % 2, b, s, x, gf5.add_table)]
+    for R in (16, 17):  # without and with rejection
+        g = np.random.default_rng((R, size))
+        out += [protocol._uint8_below(g, R, size),
+                protocol._uint8_below(g, R, size, scale=a.astype(np.uint16)), g.bit_generator.state]
+    g = np.random.default_rng(size)
+    out += [protocol._categorical(g, worst_case_channel(gf4, 0.8).label_rates.ravel(),
+                                  np.empty(size, np.uint8)), g.bit_generator.state]
+    for N, p, n in ((2, 2, 1), (3, 3, 1), (16, 2, 4), (17, 17, 1)):  # odd N rejects some bytes
+        g = np.random.default_rng((N, size))
+        out += [sample_raw_labels(ChannelModel(q=0.3), make_field(p, n), size, g),
+                g.bit_generator.state]
+    set_idx = rng.permutation(np.arange(size) % (gf4.N + 1)).astype(np.uint8)  # no set empty
+    labels = rng.integers(0, gf4.N**2, size, dtype=np.uint8)
+    out += sift(gf4, params4, set_idx, labels.copy())
+    pool = (labels % 4, *rng.integers(0, 4, (2, size), dtype=np.uint8))
+    g = np.random.default_rng(size)
+    sizes = np.bincount(set_idx, minlength=gf4.N + 1)
+    est = estimate_qer(gf4, set_idx, sizes, pool, np.maximum(sizes // 4, 1), 0.9, g)
+    return out + [est, *pool, g.bit_generator.state]
+
+
+@pytest.mark.parametrize("block", [7, 8])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_pool_passes_agree_across_the_one_block_edge(monkeypatch, block, edge):
+    """A pool one register short of 2 * BLOCK is one block, one of 2 * BLOCK
+    or more is walked BLOCK at a time: on either side every pass gives the
+    bytes, and leaves each generator in the state, of one pass over the
+    whole pool."""
+    size = 2 * block + edge
+    monkeypatch.setattr(_kernels, "BLOCK", 1 << 30)
+    want = _every_block_walk(size)
+    monkeypatch.setattr(_kernels, "BLOCK", block)
+    for unit in (1, 2, 4):  # registers, pairs, 32-bit outputs of bytes
+        walk = _kernels.blocks(size, unit)
+        step = size if edge < 0 else block + -block % unit
+        assert walk == [slice(i, min(i + step, size)) for i in range(0, size, step)], unit
+    got = _every_block_walk(size)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), i
+        else:
+            assert g == w, i
 
 
 def test_bounds_built_once_per_round_count(monkeypatch):
